@@ -121,14 +121,14 @@ void Arena::flush_now(MemOffset off, std::size_t len) {
   resolve_dma(sim_.now());
   const std::size_t first = off / kLine;
   const std::size_t last = (off + len - 1) / kLine;
-  for (std::size_t line = first; line <= last; ++line) {
-    // Flush at line granularity, as CLWB does: neighbours sharing the line
-    // persist too.
-    std::memcpy(persisted_.data() + line * kLine, current_.data() + line * kLine,
-                kLine);
-    dirty_lines_[line] = false;
-    ++stats_.flushed_lines;
-  }
+  const std::size_t lines = last - first + 1;
+  // Flush at line granularity, as CLWB does: neighbours sharing a flushed
+  // line persist too.
+  std::memcpy(persisted_.data() + first * kLine,
+              current_.data() + first * kLine, lines * kLine);
+  std::fill_n(dirty_lines_.begin() + static_cast<std::ptrdiff_t>(first), lines,
+              false);
+  stats_.flushed_lines += lines;
   ++stats_.flushes;
   if (checker_ != nullptr) {
     // The checker sees the line-expanded range: neighbours sharing a
@@ -153,9 +153,10 @@ std::size_t Arena::chunk_count(const Placement& p) noexcept {
   return (p.data.size() + kLine - 1) / kLine;
 }
 
-void Arena::apply_chunk(Placement& p, std::size_t chunk_index) {
-  const std::size_t begin = chunk_index * kLine;
-  const std::size_t len = std::min(kLine, p.data.size() - begin);
+void Arena::apply_range(const Placement& p, std::size_t first_chunk,
+                        std::size_t end_chunk) {
+  const std::size_t begin = first_chunk * kLine;
+  const std::size_t len = std::min(end_chunk * kLine, p.data.size()) - begin;
   std::memcpy(current_.data() + p.off + begin, p.data.data() + begin, len);
   mark_dirty(p.off + begin, len);
 }
@@ -206,38 +207,30 @@ void Arena::resolve_dma(SimTime now) {
   while (it != pending_.end()) {
     Placement& p = *it;
     const std::size_t n = chunk_count(p);
-    if (now >= p.end) {
-      // Fully arrived: apply every remaining chunk.
-      if (p.order == PlacementOrder::kSequential) {
-        for (std::size_t i = p.applied_chunks; i < n; ++i) apply_chunk(p, i);
-      } else {
-        const auto idx = shuffled_indices(n, p.shuffle_seed);
-        for (std::size_t i = p.applied_chunks; i < n; ++i) {
-          apply_chunk(p, idx[i]);
-        }
-      }
-      it = pending_.erase(it);
-      continue;
-    }
-    // Partially arrived: apply chunks whose arrival instant has passed.
-    std::size_t arrived = 0;
+    const bool complete = now >= p.end;
+    // Arrival instants never decrease with the chunk index and the clock
+    // never goes back, so every chunk below applied_chunks has arrived and
+    // the scan resumes there.
+    std::size_t arrived = complete ? n : p.applied_chunks;
     while (arrived < n && chunk_arrival(p.start, p.end, arrived, n) <= now) {
       ++arrived;
     }
     if (arrived > p.applied_chunks) {
       if (p.order == PlacementOrder::kSequential) {
-        for (std::size_t i = p.applied_chunks; i < arrived; ++i) {
-          apply_chunk(p, i);
-        }
+        apply_range(p, p.applied_chunks, arrived);
       } else {
         const auto idx = shuffled_indices(n, p.shuffle_seed);
         for (std::size_t i = p.applied_chunks; i < arrived; ++i) {
-          apply_chunk(p, idx[i]);
+          apply_range(p, idx[i], idx[i] + 1);
         }
       }
       p.applied_chunks = arrived;
     }
-    ++it;
+    if (complete) {
+      it = pending_.erase(it);
+    } else {
+      ++it;
+    }
   }
 }
 

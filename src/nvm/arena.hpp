@@ -203,7 +203,9 @@ class Arena {
     SimTime end;
     PlacementOrder order;
     std::uint64_t shuffle_seed;
-    std::size_t applied_chunks = 0;  // for kSequential incremental apply
+    /// Chunks (in placement order) arrived by the last resolved instant;
+    /// all of them are applied to current_.
+    std::size_t applied_chunks = 0;
   };
 
   void check_range(MemOffset off, std::size_t len) const;
@@ -211,7 +213,9 @@ class Arena {
   void mark_dirty(MemOffset off, std::size_t len);
   /// Apply every DMA chunk that has arrived by `now`.
   void resolve_dma(SimTime now);
-  void apply_chunk(Placement& p, std::size_t chunk_index);
+  /// Copy chunks [first_chunk, end_chunk) (by address) into current_.
+  void apply_range(const Placement& p, std::size_t first_chunk,
+                   std::size_t end_chunk);
   static std::size_t chunk_count(const Placement& p) noexcept;
 
   sim::Simulator& sim_;

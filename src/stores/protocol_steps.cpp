@@ -273,16 +273,24 @@ StatusCode DirStore::persist_and_index(MemOffset off, std::uint64_t key_hash,
 
 std::vector<MemOffset> DirStore::collect_versions(
     const kv::HashDir::Entry& entry) const {
-  std::vector<MemOffset> out;
+  struct Candidate {
+    MemOffset off;
+    SimTime write_time;
+  };
+  // The walk reads each header once and keeps its write_time for the sort.
+  std::vector<Candidate> found;
   for (const MemOffset head : version_heads(entry)) {
     int depth = 0;
     MemOffset off = head;
     while (off != 0 && depth++ < kMaxChain) {
       if (!header_readable(off)) break;  // garbage pointer: stop the walk
-      if (std::find(out.begin(), out.end(), off) != out.end()) break;
+      if (std::any_of(found.begin(), found.end(),
+                      [off](const Candidate& c) { return c.off == off; })) {
+        break;
+      }
       const kv::ObjectMeta meta = kv::ObjectRef{*arena_, off}.read_header();
       if (!object_span_ok(off, meta)) break;
-      out.push_back(off);
+      found.push_back({off, meta.write_time});
       off = meta.pre_ptr;
     }
   }
@@ -290,10 +298,13 @@ std::vector<MemOffset> DirStore::collect_versions(
   // Stable, because write_time can tie: members of one batch that write
   // the same key are stamped by the same alloc RPC. The walk order keeps
   // the later member first, since it links to the earlier one.
-  std::stable_sort(out.begin(), out.end(), [&](MemOffset a, MemOffset b) {
-    return kv::ObjectRef{*arena_, a}.read_header().write_time >
-           kv::ObjectRef{*arena_, b}.read_header().write_time;
-  });
+  std::stable_sort(found.begin(), found.end(),
+                   [](const Candidate& a, const Candidate& b) {
+                     return a.write_time > b.write_time;
+                   });
+  std::vector<MemOffset> out;
+  out.reserve(found.size());
+  for (const Candidate& c : found) out.push_back(c.off);
   return out;
 }
 

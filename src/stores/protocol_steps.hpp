@@ -232,7 +232,10 @@ class DirStore : public StoreBase {
     return {entry.off_old, entry.off_new};
   }
 
-  /// Every plausible version reachable from the entry, newest first.
+  /// Every plausible version reachable from the entry, newest first. The
+  /// walk reads each header once and sorts on what it read; the headers
+  /// are not handed out, since a caller that suspends between candidates
+  /// must read each one again when it gets to it.
   [[nodiscard]] std::vector<MemOffset> collect_versions(
       const kv::HashDir::Entry& entry) const;
 

@@ -360,5 +360,33 @@ TEST_P(DuplicateKeyBatchCrash, EFactoryRecoversTheLaterMember) {
       << ")";
 }
 
+TEST(VersionWalk, ReadsEachCandidateHeaderOnce) {
+  // The walk reads each candidate's header once and sorts on what it read,
+  // so recover_get's arena loads grow by exactly one per extra candidate
+  // version; re-reading headers to compare them grows far faster.
+  const auto recover_loads = [](int versions) {
+    stores::StoreConfig config = testutil::small_config();
+    config.crash_policy.eviction_probability = 1.0;  // every version intact
+    TestCluster tc{SystemKind::kEFactory, config,
+                   testutil::hinted(kKeyLen, 512)};
+    auto& store = *dynamic_cast<EFactoryStore*>(tc.cluster.store.get());
+    const Bytes key = key_of(12);
+    for (int v = 0; v < versions; ++v) {
+      EXPECT_TRUE(tc.put_sync(key, versioned_value(12, v)).is_ok());
+    }
+    tc.run_until_done([&] { return store.verify_queue_depth() == 0; });
+    tc.settle();
+    store.crash();
+    const std::uint64_t before = store.arena().stats().cpu_loads;
+    const Expected<Bytes> got = store.recover_get(key);
+    const std::uint64_t loads = store.arena().stats().cpu_loads - before;
+    EXPECT_TRUE(got.has_value() &&
+                *got == versioned_value(12, versions - 1))
+        << "with " << versions << " versions";
+    return loads;
+  };
+  EXPECT_EQ(recover_loads(32) - recover_loads(8), 24u);
+}
+
 }  // namespace
 }  // namespace efac::stores

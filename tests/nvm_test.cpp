@@ -2,6 +2,12 @@
 // semantics, chunked DMA arrival, and crash behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <set>
+#include <vector>
+
 #include "common/assert.hpp"
 #include "nvm/arena.hpp"
 #include "sim/simulator.hpp"
@@ -248,6 +254,100 @@ TEST_F(ArenaFixture, OverlappingDmaLaterWins) {
   arena.dma_write(0, second, sim.now(), sim.now() + 100);
   sim.run_until(400);
   EXPECT_EQ(arena.load(0, 256), second);
+}
+
+// Two placements in flight at once, one per order, each with an odd tail
+// (7 full chunks + 13 bytes). One arena resolves at (and just before)
+// every chunk's arrival instant, a twin with the same seed only at a few
+// sparse instants: at every shared checkpoint both hold the same bytes,
+// and the visible chunks are exactly those the arrival formula says have
+// landed.
+struct Flight {
+  MemOffset off;
+  Bytes data;
+  SimTime start;
+  SimTime end;
+  PlacementOrder order;
+};
+
+std::size_t chunks_of(const Flight& f) {
+  return (f.data.size() + Arena::kLine - 1) / Arena::kLine;
+}
+
+/// Arrival instant of chunk `i` (in placement order): chunks spread evenly
+/// over [start, end], the last one exactly at `end`.
+SimTime arrival_of(const Flight& f, std::size_t i) {
+  const std::size_t n = chunks_of(f);
+  if (n <= 1) return f.end;
+  const double frac = static_cast<double>(i + 1) / static_cast<double>(n);
+  return f.start + static_cast<SimTime>(std::llround(
+                       frac * static_cast<double>(f.end - f.start)));
+}
+
+/// Which of the flight's chunks (by address) hold their final bytes.
+std::vector<bool> visible_chunks(Arena& arena, const Flight& f) {
+  const Bytes now = arena.load(f.off, f.data.size());
+  std::vector<bool> out;
+  for (std::size_t c = 0; c < chunks_of(f); ++c) {
+    const std::size_t begin = c * Arena::kLine;
+    const std::size_t end = std::min(begin + Arena::kLine, f.data.size());
+    out.push_back(std::equal(f.data.begin() + begin, f.data.begin() + end,
+                             now.begin() + begin));
+  }
+  return out;
+}
+
+TEST(Arena, DmaArrivalIsTheSameHoweverOftenResolved) {
+  sim::Simulator sim;
+  Arena dense{sim, kArenaSize, CostModel{}, 0x77};
+  Arena sparse{sim, kArenaSize, CostModel{}, 0x77};
+  constexpr std::size_t kLen = 7 * Arena::kLine + 13;
+  const std::array<Flight, 2> flights{
+      {{0, pattern(kLen, 3), 100, 4'100, PlacementOrder::kSequential},
+       {1'024, pattern(kLen, 9), 1'500, 3'987, PlacementOrder::kShuffled}}};
+  for (Arena* arena : {&dense, &sparse}) {
+    for (const Flight& f : flights) {
+      arena->dma_write(f.off, f.data, f.start, f.end, f.order);
+    }
+  }
+
+  const std::set<SimTime> checkpoints{1'000, 2'345, 3'000, 3'986, 4'100};
+  std::set<SimTime> instants = checkpoints;
+  for (const Flight& f : flights) {
+    for (std::size_t i = 0; i < chunks_of(f); ++i) {
+      instants.insert(arrival_of(f, i) - 1);
+      instants.insert(arrival_of(f, i));
+    }
+  }
+  for (const SimTime t : instants) {
+    sim.run_until(t);
+    for (const Flight& f : flights) {
+      std::size_t arrived = 0;
+      while (arrived < chunks_of(f) && arrival_of(f, arrived) <= t) {
+        ++arrived;
+      }
+      const std::vector<bool> seen = visible_chunks(dense, f);
+      EXPECT_EQ(static_cast<std::size_t>(
+                    std::count(seen.begin(), seen.end(), true)),
+                arrived)
+          << "at " << t << ", placement at " << f.off;
+      if (f.order == PlacementOrder::kSequential) {
+        for (std::size_t c = 0; c < seen.size(); ++c) {
+          EXPECT_EQ(seen[c], c < arrived) << "at " << t << ", chunk " << c;
+        }
+      }
+      if (checkpoints.count(t) != 0) {
+        EXPECT_EQ(visible_chunks(sparse, f), seen)
+            << "at " << t << ", placement at " << f.off;
+      }
+    }
+    if (checkpoints.count(t) != 0) {
+      EXPECT_EQ(sparse.load(0, 2'048), dense.load(0, 2'048)) << "at " << t;
+    }
+  }
+  for (const Flight& f : flights) {
+    EXPECT_EQ(sparse.load(f.off, kLen), f.data);
+  }
 }
 
 // ------------------------------------------------------------------ stats
