@@ -6,6 +6,7 @@
 // Everything runs in virtual time inside a single process: the Simulator
 // drives the cluster (server workers + background verification thread) and
 // the client coroutines.
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
 
@@ -35,8 +36,11 @@ int main() {
   sim.spawn([](sim::Simulator& s, stores::KvClient& c,
                bool* flag) -> sim::Task<void> {
     const Bytes key = to_bytes("greeting-key-16B");
-    Bytes value = to_bytes("hello, remote non-volatile memory land...");
-    value.resize(64, '.');
+    // A 64-byte value: the greeting, padded with dots.
+    const Bytes greeting =
+        to_bytes("hello, remote non-volatile memory land...");
+    Bytes value(64, '.');
+    std::copy(greeting.begin(), greeting.end(), value.begin());
 
     const SimTime put_start = s.now();
     const Status put = co_await c.put(key, value);

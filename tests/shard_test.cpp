@@ -362,7 +362,8 @@ TEST(ShardedClusterTest, FlightRecorderTracksCarryShardPrefixes) {
   for (std::size_t s = 0; s < bed.cluster.num_shards(); ++s) {
     trace::EventLog* log = bed.cluster.store(s).trace_log();
     ASSERT_NE(log, nullptr) << "shard " << s;
-    const std::string prefix = "s" + std::to_string(s) + "/";
+    std::string prefix = "s";
+    prefix.append(std::to_string(s)).push_back('/');
     ASSERT_FALSE(log->tracks().empty()) << "shard " << s;
     for (const std::string& track : log->tracks()) {
       EXPECT_EQ(track.rfind(prefix, 0), 0u)

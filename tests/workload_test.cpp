@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <unordered_set>
 
 #include "workload/ycsb.hpp"
 
@@ -80,11 +82,11 @@ TEST(Workload, OpMixApproximatesFraction) {
 
 TEST(Workload, KeysAreFixedWidthAndUnique) {
   Workload wl{WorkloadConfig{.key_count = 1000, .key_len = 32}};
-  std::set<Bytes> keys;
+  std::unordered_set<std::string> keys;
   for (std::uint64_t i = 0; i < 1000; ++i) {
     const Bytes key = wl.key_at(i);
     EXPECT_EQ(key.size(), 32u);
-    keys.insert(key);
+    keys.emplace(key.begin(), key.end());
   }
   EXPECT_EQ(keys.size(), 1000u);
 }
