@@ -321,6 +321,7 @@ TEST(Arena, DmaArrivalIsTheSameHoweverOftenResolved) {
   }
   for (const SimTime t : instants) {
     sim.run_until(t);
+    const bool checkpoint = checkpoints.count(t) != 0;
     for (const Flight& f : flights) {
       std::size_t arrived = 0;
       while (arrived < chunks_of(f) && arrival_of(f, arrived) <= t) {
@@ -336,12 +337,12 @@ TEST(Arena, DmaArrivalIsTheSameHoweverOftenResolved) {
           EXPECT_EQ(seen[c], c < arrived) << "at " << t << ", chunk " << c;
         }
       }
-      if (checkpoints.count(t) != 0) {
+      if (checkpoint) {
         EXPECT_EQ(visible_chunks(sparse, f), seen)
             << "at " << t << ", placement at " << f.off;
       }
     }
-    if (checkpoints.count(t) != 0) {
+    if (checkpoint) {
       EXPECT_EQ(sparse.load(0, 2'048), dense.load(0, 2'048)) << "at " << t;
     }
   }
