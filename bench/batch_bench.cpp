@@ -16,9 +16,6 @@
 // Expected shape: throughput grows with batch size, with a >10 % win
 // over batch=1 already at 64–256 B on eFactory and IMM, where the alloc
 // RPC dominates small-payload PUT latency.
-//
-// `--smoke` shrinks the sweep for CI: same coverage, minimal runtime.
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -34,8 +31,6 @@ namespace {
 
 using stores::SystemKind;
 
-bool g_smoke = false;
-
 const std::vector<SystemKind>& batch_systems() {
   static const std::vector<SystemKind> kSystems{
       SystemKind::kEFactory,
@@ -48,12 +43,8 @@ const std::vector<SystemKind>& batch_systems() {
   return kSystems;
 }
 
-std::vector<std::size_t> batch_sizes() {
-  if (g_smoke) return {1, 8, 64};
-  return {1, 2, 4, 8, 16, 32, 64};
-}
-
-std::size_t total_ops() { return g_smoke ? 256 : 2048; }
+constexpr std::size_t kBatchSizes[] = {1, 2, 4, 8, 16, 32, 64};
+constexpr std::size_t kTotalOps = 2048;
 
 struct Point {
   double mops = 0;
@@ -99,7 +90,7 @@ Point run_point(SystemKind kind, std::size_t value_len, std::size_t batch) {
   sizing.workload.value_len = value_len;
   sizing.workload.seed = 0xBA7C;
   sizing.clients = 1;
-  sizing.ops_per_client = total_ops();
+  sizing.ops_per_client = kTotalOps;
 
   sim::Simulator sim;
   stores::StoreConfig config = workload::sized_store_config(sizing);
@@ -116,18 +107,18 @@ Point run_point(SystemKind kind, std::size_t value_len, std::size_t batch) {
   const SimTime start = sim.now();
   SimTime end = start;
   bool done = false;
-  sim.spawn(drive_batches(*client, wl, total_ops(), batch, sim, &end, &done));
+  sim.spawn(drive_batches(*client, wl, kTotalOps, batch, sim, &end, &done));
   while (!done) sim.run_until(sim.now() + timeconst::kMillisecond);
   const stores::ServerStats after = cluster.store->server_stats();
 
   Point p;
   const double elapsed_us =
       static_cast<double>(end - start) / timeconst::kMicrosecond;
-  p.mops = static_cast<double>(total_ops()) / elapsed_us;
+  p.mops = static_cast<double>(kTotalOps) / elapsed_us;
   p.server_requests = after.requests - before.requests;
   p.server_allocs = after.allocs - before.allocs;
   p.alloc_rpcs_per_op = static_cast<double>(p.server_requests) /
-                        static_cast<double>(total_ops());
+                        static_cast<double>(kTotalOps);
 
   const std::string prefix = "batch/" + std::string{stores::to_string(kind)} +
                              "/" + size_label(value_len) + "/B" +
@@ -148,9 +139,9 @@ void batch_sweep(benchmark::State& state, SystemKind kind,
     double total_secs = 0;
     double base_mops = 0;
     const std::string row{stores::to_string(kind)};
-    for (const std::size_t batch : batch_sizes()) {
+    for (const std::size_t batch : kBatchSizes) {
       const Point p = run_point(kind, value_len, batch);
-      total_secs += static_cast<double>(total_ops()) / (p.mops * 1e6);
+      total_secs += static_cast<double>(kTotalOps) / (p.mops * 1e6);
       if (batch == 1) base_mops = p.mops;
       const std::string column = "B=" + std::to_string(batch);
       Summary::instance().add(
@@ -193,17 +184,4 @@ const int registrar = [] {
 }  // namespace
 }  // namespace efac::bench
 
-int main(int argc, char** argv) {
-  // Strip --smoke before google-benchmark sees the argv.
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) {
-      efac::bench::g_smoke = true;
-    } else {
-      args.push_back(argv[i]);
-    }
-  }
-  args.push_back(nullptr);
-  int filtered_argc = static_cast<int>(args.size()) - 1;
-  return efac::bench::bench_main(filtered_argc, args.data(), "batch");
-}
+int main(int argc, char** argv) { return efac::bench::bench_main(argc, argv, "batch"); }
