@@ -1,18 +1,21 @@
 // Simulated byte-addressable non-volatile memory with an explicit
 // volatility boundary.
 //
-// The arena keeps two images of its contents:
-//
-//   current_    what any reader (server CPU or NIC DMA) observes *now*;
-//   persisted_  what survives a crash.
+// The arena keeps one image, `current_`: what any reader (server CPU or NIC
+// DMA) observes *now*. What survives a crash is tracked per 64-byte cache
+// line, as in-cache-line logging does: a clean line's persisted bytes are
+// its current bytes; a dirty line's are held in an undo copy taken when the
+// clean line was first written (or, when they are all zero, only noted as
+// such).
 //
 // CPU stores and inbound RDMA-WRITE payloads (DDIO: data lands in the LLC,
 // not the media) modify only `current_` and mark the touched cache lines
-// dirty. An explicit flush (CLWB/CLFLUSH + SFENCE in real hardware) copies
-// dirty lines into `persisted_`. crash() reverts `current_` to the
-// persisted image — except that, mimicking natural cache eviction, each
-// dirty 8-byte word independently survives with a configurable probability
-// (8 bytes is the failure-atomicity unit of NVM: a word is never torn).
+// dirty. An explicit flush (CLWB/CLFLUSH + SFENCE in real hardware) makes
+// its lines clean and drops their undo copies. crash() walks the dirty
+// lines: mimicking natural cache eviction, each dirty 8-byte word
+// independently survives with a configurable probability (8 bytes is the
+// failure-atomicity unit of NVM: a word is never torn); every other dirty
+// word gets its undo bytes back.
 //
 // Inbound DMA is modelled with *chunked arrival*: a payload delivered over
 // the virtual interval [start, end) becomes visible 64 bytes at a time, so
@@ -26,6 +29,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -124,8 +128,8 @@ class Arena {
   [[nodiscard]] Bytes load(MemOffset off, std::size_t len);
   [[nodiscard]] std::uint64_t load_u64(MemOffset off);
 
-  /// Make [off, off+len) durable: copies the touched lines into the
-  /// persisted image and clears their dirty bits. Instantaneous; charge
+  /// Make [off, off+len) durable: the touched lines become clean and drop
+  /// their undo copies. Instantaneous; charge
   /// cost().flush_cost(len) + cost().fence_ns at the call site. For
   /// crash-during-flush experiments, flush line-by-line with delays.
   /// An armed fault injector may silently drop (kPersistDrop) or defer
@@ -164,11 +168,13 @@ class Arena {
 
   /// Power failure at the current instant. In-flight DMA stops (chunks not
   /// yet arrived are lost); each dirty 8-byte word survives with
-  /// policy.eviction_probability; everything else reverts to the persisted
-  /// image. After crash() the arena is clean (no dirty lines, no DMA).
+  /// policy.eviction_probability; every other dirty word reverts to its
+  /// persisted bytes. After crash() the arena is clean (no dirty lines, no
+  /// DMA).
   void crash(const CrashPolicy& policy = {});
 
-  /// Direct view of the persisted image (recovery-time inspection).
+  /// What a crash with no eviction would leave in [off, off+len): the
+  /// current bytes with each dirty line's undo copy laid over them.
   [[nodiscard]] Bytes persisted_bytes(MemOffset off, std::size_t len) const;
 
  private:
@@ -206,11 +212,33 @@ class Arena {
     /// Chunks (in placement order) arrived by the last resolved instant;
     /// all of them are applied to current_.
     std::size_t applied_chunks = 0;
+    /// Arrival instant of chunk `applied_chunks`, the next one to land.
+    SimTime next_arrival = 0;
   };
 
+  /// undo_ values: the line is clean, or dirty with all-zero persisted
+  /// bytes; any other value is the undo slot holding the persisted bytes.
+  static constexpr std::uint32_t kClean = 0;
+  static constexpr std::uint32_t kZeroUndo =
+      std::numeric_limits<std::uint32_t>::max();
+  /// Undo slots come in fixed blocks that never move while the arena
+  /// lives; slot 0 is never handed out (it ends the free list).
+  static constexpr std::size_t kSlotsPerBlock = 4096;
+  static constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
+
   void check_range(MemOffset off, std::size_t len) const;
+  /// Start of [off, off+len) in current_, after resolving in-flight DMA
+  /// and counting (and reporting) the load; an empty range counts nothing.
+  const std::uint8_t* begin_load(MemOffset off, std::size_t len);
   void flush_now(MemOffset off, std::size_t len);
+  /// Mark the lines of [off, off+len) dirty, taking the undo copy of each
+  /// line that was clean. Call before the bytes change.
   void mark_dirty(MemOffset off, std::size_t len);
+  /// Make `line` clean, returning its undo slot (if any) to the free list.
+  void mark_clean(std::size_t line);
+  /// A free undo slot: the head of the free list, else a fresh one.
+  std::uint32_t take_slot();
+  [[nodiscard]] std::uint8_t* slot_bytes(std::uint32_t slot) const noexcept;
   /// Apply every DMA chunk that has arrived by `now`.
   void resolve_dma(SimTime now);
   /// Copy chunks [first_chunk, end_chunk) (by address) into current_.
@@ -221,9 +249,15 @@ class Arena {
   sim::Simulator& sim_;
   CostModel cost_;
   std::vector<std::uint8_t> current_;
-  std::vector<std::uint8_t> persisted_;
-  std::vector<bool> dirty_lines_;
+  /// Per line: kClean, kZeroUndo or an undo slot.
+  std::vector<std::uint32_t> undo_;
+  std::vector<std::unique_ptr<std::uint8_t[]>> undo_blocks_;
+  std::uint32_t next_slot_ = 1;  ///< first slot never handed out
+  std::uint32_t free_slot_ = 0;  ///< head of the free list threaded
+                                 ///< through the slots' first bytes
   std::vector<Placement> pending_;
+  /// Earliest next_arrival of pending_ (kNever when nothing is in flight).
+  SimTime next_arrival_ = kNever;
   Rng rng_;
   fault::Injector* injector_ = nullptr;
   analysis::Checker* checker_ = nullptr;
