@@ -32,7 +32,7 @@ else
   cmake -B build
 fi
 cmake --build build -j "$(nproc)"
-ctest --test-dir build --output-on-failure
+ctest --test-dir build --output-on-failure -j "$(nproc)"
 
 mkdir -p build/bench/logs
 declare -A pids

@@ -59,7 +59,7 @@ namespace {
 bool all_zero(const std::uint8_t* line) noexcept {
   std::uint64_t any = 0;
   for (std::size_t w = 0; w < Arena::kLine; w += Arena::kAtomicUnit) {
-    std::uint64_t word;
+    std::uint64_t word = 0;
     std::memcpy(&word, line + w, sizeof word);
     any |= word;
   }

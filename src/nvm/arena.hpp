@@ -129,9 +129,9 @@ class Arena {
   [[nodiscard]] std::uint64_t load_u64(MemOffset off);
 
   /// Make [off, off+len) durable: the touched lines become clean and drop
-  /// their undo copies. Instantaneous; charge
-  /// cost().flush_cost(len) + cost().fence_ns at the call site. For
-  /// crash-during-flush experiments, flush line-by-line with delays.
+  /// their undo copies. Instantaneous; charge cost().flush_cost(len) +
+  /// cost().fence_ns at the call site. For crash-during-flush
+  /// experiments, flush line-by-line with delays.
   /// An armed fault injector may silently drop (kPersistDrop) or defer
   /// (kPersistDelay) the persist while the caller still observes success.
   void flush(MemOffset off, std::size_t len);
@@ -222,7 +222,8 @@ class Arena {
   static constexpr std::uint32_t kZeroUndo =
       std::numeric_limits<std::uint32_t>::max();
   /// Undo slots come in fixed blocks that never move while the arena
-  /// lives; slot 0 is never handed out (it ends the free list).
+  /// lives. Slot 0 is never handed out: 0 means kClean in undo_ and ends
+  /// the free list.
   static constexpr std::size_t kSlotsPerBlock = 4096;
   static constexpr SimTime kNever = std::numeric_limits<SimTime>::max();
 
