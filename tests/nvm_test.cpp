@@ -296,8 +296,8 @@ TEST(Arena, SeededCrashScriptMatchesGoldenDigests) {
     digests.push_back(digest(arena.load(0, kSize)));
     digests.push_back(digest(arena.persisted_bytes(0, kSize)));
   }
-  // Recorded with the two-image arena (a full copy of the persisted image
-  // beside the current one); one crash per row.
+  // One crash per row, recorded from an arena that kept a full persisted
+  // image beside the current one.
   const std::vector<std::uint64_t> golden{
       0x9a69f8dcd81e56d0ULL, 0x9a69f8dcd81e56d0ULL, 0x9a69f8dcd81e56d0ULL,
       0x3734fdbb19dd0972ULL, 0x1eaacfc70e266d8dULL, 0x1eaacfc70e266d8dULL,
