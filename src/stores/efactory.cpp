@@ -595,13 +595,14 @@ sim::Task<void> EFactoryStore::cleaning_task() {
       }
     }
     // Wait out an in-flight RDMA WRITE before copying, else we would
-    // immortalize a torn object.
+    // immortalize a torn object. The shadow head judged above is the
+    // snapshot: a merge-era PUT that lands during either await is newer
+    // than old_head, and the check below must see it as a splice.
     if (!co_await await_verifiable(old_head)) continue;
-    const MemOffset snapshot_shadow = shadow_of(dir_.read(slot));
-    const MemOffset copy = co_await copy_object(old_head, snapshot_shadow);
+    const MemOffset copy = co_await copy_object(old_head, shadow_head);
     if (copy == 0) continue;
     entry = dir_.read(slot);
-    if (shadow_of(entry) != snapshot_shadow) {
+    if (shadow_of(entry) != shadow_head) {
       // A merge-era PUT spliced in while we copied; our copy is stale.
       kv::ObjectRef{*arena_, copy}.set_valid(false);
       continue;

@@ -173,6 +173,56 @@ TEST_F(CleaningFixture, ForceWhileActiveIsNoop) {
   EXPECT_EQ(store().server_stats().cleanings, 1u);
 }
 
+// ------------------------------------- overwrites racing the merge stage
+
+// Client A overwrites each key with v2 while a round runs, and client B
+// overwrites the same key with v3 a parameterised gap after A's ack. When
+// B's PUT lands in the shadow pool while the merge stage waits for A's
+// working-pool head to become verifiable, the merge must not install a
+// copy of that older head in front of it: every key reads v3 afterwards.
+class MergeOverwriteRace : public ::testing::TestWithParam<int> {};
+
+INSTANTIATE_TEST_SUITE_P(GapSweep, MergeOverwriteRace,
+                         ::testing::Range(0, 120));
+
+TEST_P(MergeOverwriteRace, LatestAckedWriteSurvivesTheRound) {
+  constexpr std::size_t kBigValue = 4096;
+  constexpr int kKeys = 32;
+  TestCluster tc{SystemKind::kEFactory, testutil::small_config(),
+                 testutil::hinted(32, kBigValue)};
+  auto& store = *dynamic_cast<EFactoryStore*>(tc.cluster.store.get());
+  auto second = tc.cluster.make_client(testutil::hinted(32, kBigValue));
+  workload::Workload wl{workload::WorkloadConfig{
+      .key_count = kKeys, .key_len = 32, .value_len = kBigValue}};
+  for (int k = 0; k < kKeys; ++k) {
+    ASSERT_TRUE(tc.put_sync(wl.key_at(k), wl.value_for(k, 1)).is_ok());
+  }
+  tc.run_until_done([&] { return store.verify_queue_depth() == 0; });
+  tc.settle();
+
+  store.force_log_cleaning();
+  const SimDuration gap = 97 * static_cast<SimDuration>(GetParam());
+  bool done = false;
+  tc.sim.spawn([](sim::Simulator& sim, KvClient& a, KvClient& b,
+                  workload::Workload& w, SimDuration pause,
+                  bool* finished) -> sim::Task<void> {
+    for (int k = 0; k < kKeys; ++k) {
+      EXPECT_TRUE((co_await a.put(w.key_at(k), w.value_for(k, 2))).is_ok());
+      co_await sim::delay(sim, pause);
+      EXPECT_TRUE((co_await b.put(w.key_at(k), w.value_for(k, 3))).is_ok());
+    }
+    *finished = true;
+  }(tc.sim, *tc.client, *second, wl, gap, &done));
+  tc.run_until_done([&] { return done && !store.cleaning_active(); });
+  tc.settle();
+
+  for (int k = 0; k < kKeys; ++k) {
+    const Expected<Bytes> got = tc.get_sync(wl.key_at(k));
+    ASSERT_TRUE(got.has_value()) << "key " << k;
+    EXPECT_EQ(*got, wl.value_for(k, 3)) << "lost update on key " << k;
+  }
+}
+
 // ------------------------------------------------ crash during cleaning
 
 class CrashDuringCleaning : public ::testing::TestWithParam<int> {};
