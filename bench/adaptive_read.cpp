@@ -4,9 +4,9 @@
 // sweep) restricted to the three configurations the adaptive read is
 // about, across the three read-bearing mixes:
 //
-//   * efactory           — hybrid read as shipped (PR 1-7 behavior);
-//   * efactory+adaptive  — hybrid read with the fallback tracker and
-//                          durability hints on (docs/ADAPTIVE_READ.md);
+//   * efactory           — the paper's hybrid read;
+//   * efactory+adaptive  — hybrid read with the speculative pair READ and
+//                          the hedged GET on (docs/ADAPTIVE_READ.md);
 //   * efactory-no-hr     — the w/o-hr factor-analysis baseline every
 //                          hybrid variant is judged against.
 //

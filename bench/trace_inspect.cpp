@@ -299,29 +299,12 @@ void print_op(int rank, const OpRecord& op) {
             << "\n";
   if (op.kind == OpKind::kGet) {
     const char* path = "unknown (no get_path event)";
-    std::uint8_t path_code = 0xFF;
     for (const Event& ev : op.events) {
       if (ev.type == static_cast<std::uint8_t>(EventType::kGetPath)) {
         path = get_path_name(ev.aux);
-        path_code = ev.aux;
       }
     }
     std::cout << "   path: " << path << "\n";
-    if (path_code == static_cast<std::uint8_t>(GetPath::kAdaptiveRpcFirst)) {
-      std::cout << "   note: adaptive tracker predicted a flag miss; the "
-                   "one-sided attempt was skipped, not attempted and lost\n";
-    } else if (path_code ==
-               static_cast<std::uint8_t>(GetPath::kDurabilityHint)) {
-      std::cout << "   note: a PUT-ack durability hint leased this key "
-                   "RPC-first; the lease lapses once the verifier should "
-                   "have flagged the object\n";
-    } else if (path_code ==
-               static_cast<std::uint8_t>(GetPath::kStaleVersion)) {
-      std::cout << "   note: the index entry moved off the offset this "
-                   "client last proved durable and the tracker predicted "
-                   "the fresh version is still unverified; the full-width "
-                   "object READ was skipped\n";
-    }
   }
   std::cout << "   phases: one-sided " << us(ph.one_sided) << ", backoff "
             << us(ph.backoff) << ", "

@@ -1,5 +1,4 @@
-// Fuzz target: the RPC wire-format decoders (src/stores/wire.cpp),
-// including the optional want_hint / durable_eta / was_durable tails.
+// Fuzz target: the RPC wire-format decoders (src/stores/wire.cpp).
 //
 // The decoders parse client-controlled bytes on the server's hot path;
 // a malformed frame must reject via efac::CheckFailure (ByteReader's

@@ -1,40 +1,29 @@
-// Adaptive hybrid read: per-client fallback tracking + server durability
-// hints (ROADMAP item 3).
+// Adaptive hybrid read: a speculative pair READ predicted by a per-client
+// durable-offset record, and a hedged locate RPC (docs/ADAPTIVE_READ.md).
 //
-// The deviation this fixes: under a write-heavy Zipfian mix, hot-key
-// one-sided GETs keep landing inside eFactory's not-yet-durable window —
-// every such read pays the full optimistic entry READ + object READ only
-// to find the durability flag unset and fall back to RPC, pushing the
-// hybrid read *below* the w/o-hr baseline (EXPERIMENTS.md Fig. 9(c)).
-// The fix is to stop attempting one-sided reads that are predictably
-// doomed, from two independent signals:
+// The plain hybrid read pays two serial round trips on its fast path (the
+// index entry, then the object it points at) and, when the durability flag
+// turns out unset, a third and fourth for the RPC fallback. Under a
+// write-heavy Zipfian mix hot keys keep landing inside eFactory's
+// not-yet-durable window, which pushed the hybrid read below the w/o-hr
+// baseline (EXPERIMENTS.md Fig. 9(c)). Two client mechanisms fix it:
 //
-//   * a per-client FALLBACK TRACKER — a small seeded-hash sketch of
-//     recent flag-miss rates per key bucket. A bucket whose one-sided
-//     reads repeatedly miss (>= trip_threshold consecutive misses) trips
-//     to RPC-first; while tripped, every probe_period-th GET still tries
-//     the one-sided path, and a single fast-path success re-arms the
-//     bucket (hysteresis: one success forgives all misses, because a set
-//     durability flag is sticky until the next overwrite);
+//   * the SPECULATIVE PAIR READ: the record below remembers, per key
+//     bucket, the offset this client last saw durable. When it knows one,
+//     the GET READs the entry and the object at that offset in one
+//     doorbelled round trip, and the entry adjudicates the prediction;
 //
-//   * a server DURABILITY HINT piggybacked on PUT acks (and batch-reserve
-//     replies): the alloc response carries the server's estimate of when
-//     the verifier will flag the new object durable. The writing client
-//     opens a "doomed window" (a freshness lease on the RPC-first
-//     decision) for that key bucket until the estimate expires; once the
-//     lease lapses — i.e. once the verifier should have flagged the
-//     object — one-sided reads re-arm automatically.
+//   * the HEDGED GET: the fallback locate RPC departs with the optimistic
+//     attempt and is abandoned unread when the attempt lands.
 //
-// Both signals are pure client CPU: deciding and updating never schedules
-// simulator events and never draws from any RNG, so enabling the tracker
-// changes schedules only through the read-path choices it makes — and
-// with AdaptiveReadOptions::enabled == false (the default) no tracker
-// exists, no hint is requested on the wire, and dispatch schedules are
-// bit-identical to the non-adaptive client (pinned by determinism_test).
+// The record is pure client CPU: updating and consulting it never
+// schedules simulator events and never draws from any RNG. With
+// AdaptiveReadOptions::enabled == false (the default) no state exists,
+// and dispatch schedules are bit-identical to the non-adaptive client
+// (pinned by determinism_test).
 //
-// Sharded clusters get per-shard trackers for free: ShardedKvClient holds
-// one protocol client per shard and each protocol client owns its own
-// tracker, so a hot key only trips the bucket on its owning shard.
+// Sharded clusters get per-shard state for free: ShardedKvClient holds one
+// protocol client per shard and each protocol client owns its own record.
 #pragma once
 
 #include <cstdint>
@@ -45,56 +34,11 @@
 
 namespace efac::stores {
 
-/// Knobs for the adaptive hybrid-read path. Lives in ClientOptions; only
+/// The adaptive hybrid-read switch. Lives in ClientOptions; only
 /// eFactory's hybrid GET consults it (other systems ignore the struct).
 struct AdaptiveReadOptions {
-  /// Master switch. Off = bit-identical to the non-adaptive read path.
+  /// Off = bit-identical to the non-adaptive read path.
   bool enabled = false;
-  /// Sketch width (key buckets) of the fallback tracker. Rounded up to a
-  /// power of two. Distinct hot keys sharing a bucket share its state —
-  /// acceptable for a *hint* structure (worst case: an extra RPC-first
-  /// read or an extra doomed probe, never a wrong result).
-  std::size_t buckets = 8192;
-  /// Consecutive flag-miss fallbacks before a bucket trips to RPC-first.
-  /// In the simulated fabric the per-READ round trip dwarfs the payload
-  /// bytes, so one full-width miss already wasted ~two round trips — the
-  /// default trips on the first.
-  std::uint32_t trip_threshold = 1;
-  /// While tripped (or sticky), every Nth GET on the bucket still probes
-  /// the one-sided path so a cooled-down key can re-arm (0 = never
-  /// re-probe; hint leases remain the only way back). A probe is a plain
-  /// full-width optimistic read: when the flag turns out set it *is* the
-  /// fast path — the value comes back in the same round trip — so probing
-  /// costs nothing extra on success and one wasted READ on a miss.
-  std::uint32_t probe_period = 4;
-  /// Once a bucket has tripped it turns *sticky*: a fast-path success
-  /// clears the miss count but keeps the bucket on the RPC-first-with-
-  /// periodic-probes cadence, and only this many consecutive successes
-  /// (with no intervening miss) return it to unconditional one-sided
-  /// reads. Without stickiness a hot key under cross-client overwrites
-  /// cycles re-arm -> full-width miss -> trip on every overwrite, paying
-  /// the one wasted optimistic READ per cycle that the tracker exists to
-  /// avoid; with it, churning buckets stay pinned to the safe path while
-  /// the Zipf tail un-sticks after a couple of quiet probes. 0 disables
-  /// stickiness (a success re-arms outright).
-  std::uint32_t unstick_after = 2;
-  /// Honor server durability hints piggybacked on PUT acks.
-  bool use_hints = true;
-  /// Safety margin added to the server's durability estimate before the
-  /// lease expires (the estimate cannot see the client's in-flight WRITE
-  /// latency; a late re-arm costs one RPC-first read, an early one a
-  /// doomed probe).
-  SimDuration hint_margin_ns = 2000;
-  /// Seed of the sketch's key-to-bucket hash (mixed with the key hash).
-  std::uint64_t hash_seed = 0xADA9;
-};
-
-/// Why the tracker routed a GET the way it did.
-enum class AdaptiveRoute : std::uint8_t {
-  kOneSided = 0,  ///< bucket healthy: try the optimistic one-sided path
-  kProbe,         ///< bucket tripped, but this is its periodic re-probe
-  kRpcFirst,      ///< bucket tripped: skip straight to the RPC path
-  kHintLease,     ///< durability-hint lease active: skip straight to RPC
 };
 
 /// `read.adaptive.*` counters, registered on the owning client's registry.
@@ -102,166 +46,45 @@ enum class AdaptiveRoute : std::uint8_t {
 /// export byte-identical metrics.
 struct AdaptiveCounters {
   explicit AdaptiveCounters(metrics::MetricsRegistry& r)
-      : rpc_first(r.counter("read.adaptive.rpc_first")),
-        hint_skips(r.counter("read.adaptive.hint_skips")),
-        probes(r.counter("read.adaptive.probes")),
-        trips(r.counter("read.adaptive.trips")),
-        rearms(r.counter("read.adaptive.rearms")),
-        hints(r.counter("read.adaptive.hints")),
-        feedback_set(r.counter("read.adaptive.feedback_set")),
-        feedback_unset(r.counter("read.adaptive.feedback_unset")),
-        stale_skips(r.counter("read.adaptive.stale_skips")),
-        spec_pairs(r.counter("read.adaptive.spec_pairs")),
+      : spec_pairs(r.counter("read.adaptive.spec_pairs")),
         spec_hits(r.counter("read.adaptive.spec_hits")),
-        miss_cold(r.counter("read.adaptive.miss_cold")),
-        miss_moved(r.counter("read.adaptive.miss_moved")),
         hedges(r.counter("read.adaptive.hedges")),
-        hedges_wasted(r.counter("read.adaptive.hedges_wasted")) {}
-  metrics::Counter& rpc_first;   ///< GETs routed RPC-first by the tracker
-  metrics::Counter& hint_skips;  ///< GETs routed RPC-first by a hint lease
-  metrics::Counter& probes;      ///< periodic one-sided re-probes while tripped
-  metrics::Counter& trips;       ///< buckets tripped to RPC-first
-  metrics::Counter& rearms;      ///< buckets re-armed by a fast-path success
-  metrics::Counter& hints;       ///< durability hints received on PUT acks
-  metrics::Counter& feedback_set;    ///< locate replies: flag was already set
-  metrics::Counter& feedback_unset;  ///< locate replies: flag not yet set
-  metrics::Counter& stale_skips;  ///< object READs skipped: version moved
-  metrics::Counter& spec_pairs;   ///< speculative entry+object pair READs
-  metrics::Counter& spec_hits;    ///< pairs where the prediction held
-  metrics::Counter& miss_cold;    ///< flag misses with no offset record
-  metrics::Counter& miss_moved;   ///< flag misses past the stale-check gate
-  metrics::Counter& hedges;         ///< locate RPCs raced against spec pairs
-  metrics::Counter& hedges_wasted;  ///< hedges abandoned (the pair held)
+        hedges_wasted(r.counter("read.adaptive.hedges_wasted")) {
+    // No GET is routed RPC-first or skips its object READ any more, so
+    // these two stay zero. They stay registered because the repository
+    // benchmark reports rpc_first_ratio and stale_skip_ratio from them.
+    r.counter("read.adaptive.rpc_first");
+    r.counter("read.adaptive.stale_skips");
+  }
+  metrics::Counter& spec_pairs;     ///< speculative entry+object pair READs
+  metrics::Counter& spec_hits;      ///< pairs where the prediction held
+  metrics::Counter& hedges;         ///< locate RPCs raced against attempts
+  metrics::Counter& hedges_wasted;  ///< hedges abandoned (the attempt held)
 };
 
-/// The per-client sketch. All methods are O(1), allocation-free after
-/// construction, and deterministic (no RNG, no simulator interaction).
-class AdaptiveReadTracker {
+/// Per-client adaptive-read state: the durable-offset record plus its
+/// counters. All methods are O(1), allocation-free after construction,
+/// and deterministic (no RNG, no simulator interaction).
+class AdaptiveReadState {
  public:
-  AdaptiveReadTracker(const AdaptiveReadOptions& options,
-                      metrics::MetricsRegistry& registry)
-      : options_(options), counters_(registry) {
-    std::size_t n = 1;
-    while (n < options.buckets) n <<= 1;
-    slots_.resize(n);
-    mask_ = n - 1;
-  }
+  explicit AdaptiveReadState(metrics::MetricsRegistry& registry)
+      : counters_(registry), slots_(kBuckets) {}
 
-  /// Route the GET for `key_hash` at virtual time `now`. Mutates the
-  /// bucket's probe countdown (the periodic re-probe is part of routing).
-  [[nodiscard]] AdaptiveRoute route(std::uint64_t key_hash, SimTime now) {
-    Slot& s = slot(key_hash);
-    if (options_.use_hints && s.lease_until != 0 &&
-        s.lease_key == key_hash) {
-      // The lease is keyed like the durable-offset record: a PUT to key A
-      // must not doom reads of a colliding key B that shares the bucket
-      // (B's flag says nothing about A's pending verify).
-      if (now < s.lease_until) {
-        ++counters_.hint_skips;
-        return AdaptiveRoute::kHintLease;
-      }
-      // Lease lapsed: the verifier should have flagged the object by now,
-      // so the bucket re-arms outright — misses accrued *before* the
-      // overwrite that opened the lease say nothing about the fresh flag.
-      s.lease_until = 0;
-      s.misses = 0;
-      s.probe_clock = 0;
-    }
-    if (s.misses < options_.trip_threshold && !s.sticky) {
-      return AdaptiveRoute::kOneSided;
-    }
-    if (options_.probe_period > 0 && ++s.probe_clock >= options_.probe_period) {
-      s.probe_clock = 0;
-      ++counters_.probes;
-      return AdaptiveRoute::kProbe;
-    }
-    ++counters_.rpc_first;
-    return AdaptiveRoute::kRpcFirst;
-  }
-
-  /// The index entry for this bucket points at `off` — is that a *fresh*
-  /// version, i.e. different from the last offset this client proved
-  /// durable? A changed offset means the key was overwritten since, and
-  /// the new object is odds-on still inside the verifier window: the
-  /// caller can skip the full-width object READ it was about to waste and
-  /// fall straight to RPC (whose locate feedback then re-learns the new
-  /// offset the moment it turns durable). An unknown bucket (no recorded
-  /// offset) is never stale — cold keys keep the plain optimistic path.
-  [[nodiscard]] bool stale_version(std::uint64_t key_hash, MemOffset off,
-                                   SimTime now) const noexcept {
-    const Slot& s = slots_[index(key_hash)];
-    // The recorded offset is per-key, not per-bucket: a colliding key that
-    // shares the bucket must not read its neighbor's offset as "moved"
-    // (that would send every other read of both keys to RPC). On a
-    // collision the check simply stands down and the plain optimistic
-    // path decides.
-    if (s.durable_key != key_hash || s.durable_off == 0 ||
-        s.durable_off == off) {
-      return false;
-    }
-    // A moved offset proves an overwrite happened somewhere in
-    // (durable_time, now]. For a *churned* bucket — one whose last moved
-    // attempt found the flag unset — the key is being overwritten faster
-    // than the verifier flags it, so any moved offset predicts a miss no
-    // matter how stale this client's record is (the gap since durable_time
-    // measures when *we* last looked, not when the overwrite happened, and
-    // a write-hot key's latest overwrite is odds-on fresh). For a quiet
-    // bucket the overwrite only predicts an unset flag when the record is
-    // recent against the verifier's turnaround (estimated from the
-    // durability hints on this client's own PUT acks); an overwrite that
-    // could be arbitrarily old is odds-on flagged by now: attempt the
-    // read. Without hint traffic there is no window estimate and the
-    // quiet-bucket check stands down entirely.
-    if (s.churned) return true;
-    return window_ewma_ > 0 && now - s.durable_time <= 2 * window_ewma_;
-  }
-
-  /// A one-sided read of this bucket found the durability flag set (or a
-  /// conclusive tombstone): fully re-arm. One success forgives all misses
-  /// — the flag is sticky until the key's next overwrite, so the next
-  /// reads are overwhelmingly likely to stay fast. `durable_off` records
-  /// which version that was, arming stale_version() for the next
-  /// overwrite (0 = unknown, clears the record).
-  void note_fast_success(std::uint64_t key_hash, MemOffset durable_off = 0,
-                         SimTime now = 0) {
-    Slot& s = slot(key_hash);
-    // A *moved* offset observed durable is direct evidence the key's
-    // write rate lost the race with the verifier: un-churn the bucket so
-    // stale_version() goes back to the recency gate.
-    if (s.durable_key == key_hash && s.durable_off != 0 &&
-        durable_off != 0 && s.durable_off != durable_off) {
-      s.churned = false;
-    }
-    s.durable_key = key_hash;
-    s.durable_off = durable_off;
-    s.durable_time = now;
-    if (s.misses >= options_.trip_threshold) {
-      ++counters_.rearms;
-      if (options_.unstick_after > 0) s.sticky = true;
-    }
-    s.misses = 0;
-    s.probe_clock = 0;
-    s.lease_until = 0;
-    if (s.sticky && ++s.streak >= options_.unstick_after) {
-      s.sticky = false;
-      s.streak = 0;
-    }
-  }
-
-  /// The caller skipped a full-width object READ because stale_version()
-  /// flagged a fresh overwrite (bookkeeping only — the locate feedback of
-  /// the RPC this GET falls back to decides trip/re-arm).
-  void note_stale_skip() { ++counters_.stale_skips; }
-
-  /// The offset this client last proved durable for `key_hash`, or 0 if
-  /// none is recorded (cold bucket, or the record belongs to a colliding
-  /// key). This is the prediction behind the speculative GET: the entry
-  /// and the object at the predicted offset are READ in one doorbelled
-  /// pair, and the entry adjudicates afterwards.
+  /// The offset this client last saw durable for `key_hash`, or 0 if none
+  /// is recorded (cold bucket, or the record belongs to a colliding key).
+  /// This is the prediction behind the speculative pair READ.
   [[nodiscard]] MemOffset predicted_off(
       std::uint64_t key_hash) const noexcept {
     const Slot& s = slots_[index(key_hash)];
-    return s.durable_key == key_hash ? s.durable_off : 0;
+    return s.key_hash == key_hash ? s.off : 0;
+  }
+
+  /// The version of `key_hash` at `off` is durable: a one-sided read found
+  /// its flag set (or a conclusive tombstone), or a locate reply handed it
+  /// out (the server verifies on demand before it answers). A colliding
+  /// key takes the bucket over: latest observation wins.
+  void note_durable(std::uint64_t key_hash, MemOffset off) noexcept {
+    slots_[index(key_hash)] = Slot{key_hash, off};
   }
 
   /// A speculative pair READ was issued; `held` says whether the entry
@@ -278,149 +101,32 @@ class AdaptiveReadTracker {
     if (wasted) ++counters_.hedges_wasted;
   }
 
-  /// A one-sided read of this bucket found the flag unset (the doomed
-  /// case the tracker exists to predict).
-  void note_flag_miss(std::uint64_t key_hash, MemOffset off = 0) {
-    Slot& s = slot(key_hash);
-    // Classify the miss for the `read.adaptive.miss_*` counters: a COLD
-    // miss had no offset record to consult (first contact with the key),
-    // a MOVED miss had one but the overwrite looked old enough to gamble
-    // on. Anything else would be an unchanged-offset miss, which the
-    // durability flag's stickiness makes impossible — so it isn't counted.
-    if (off != 0) {
-      if (s.durable_key != key_hash || s.durable_off == 0) {
-        ++counters_.miss_cold;
-      } else if (s.durable_off != off) {
-        ++counters_.miss_moved;
-      }
-    }
-    s.streak = 0;
-    s.churned = true;
-    if (s.misses < options_.trip_threshold) {
-      ++s.misses;
-      if (s.misses == options_.trip_threshold) {
-        ++counters_.trips;
-        if (options_.unstick_after > 0) s.sticky = true;
-      }
-    }
-  }
-
-  /// An RPC-path GET's locate reply reported whether the durability flag
-  /// was set before the RPC — i.e. what a one-sided read issued at that
-  /// moment would have found. This is the tracker's highest-quality
-  /// signal: it costs nothing (one tail byte on an RPC that was happening
-  /// anyway) and lets RPC-routed buckets re-arm or stay tripped based on
-  /// ground truth instead of periodic probe gambles.
-  void note_loc_feedback(std::uint64_t key_hash, bool was_durable,
-                         MemOffset off, SimTime now) {
-    if (was_durable) {
-      ++counters_.feedback_set;
-      note_fast_success(key_hash, off, now);
-    } else {
-      ++counters_.feedback_unset;
-      note_flag_miss(key_hash);
-      // The flag was unset when the RPC arrived — but the server's
-      // locate path verifies on demand, so the version it returned is
-      // durable *now*. Record it (arming the stale_version() oracle for
-      // the bucket's next probe) and close any hint lease: the lease was
-      // an ETA estimate, and the on-demand verify just made it moot.
-      Slot& s = slot(key_hash);
-      s.durable_key = key_hash;
-      s.durable_off = off;
-      s.durable_time = now;
-      s.lease_until = 0;
-    }
-  }
-
-  /// A PUT ack for this bucket carried the server's durability estimate:
-  /// open (or extend) the doomed-window lease until then. `new_off` is the
-  /// offset the alloc reply placed the new version at (0 = unknown).
-  void note_hint(std::uint64_t key_hash, SimTime durable_eta, SimTime now,
-                 MemOffset new_off = 0) {
-    ++counters_.hints;
-    if (!options_.use_hints || durable_eta == 0) return;
-    // Every hint doubles as a sample of the verifier's turnaround — how
-    // far in the future "durable" is right now. stale_version() measures
-    // overwrite recency against this window.
-    if (durable_eta > now) {
-      const SimDuration sample = durable_eta - now;
-      window_ewma_ =
-          window_ewma_ == 0 ? sample : (7 * window_ewma_ + sample) / 8;
-    }
-    Slot& s = slot(key_hash);
-    const SimTime until = durable_eta + options_.hint_margin_ns;
-    // A hint for a different colliding key takes over the slot's lease:
-    // latest writer wins, mirroring the durable-offset record.
-    if (s.lease_key != key_hash || until > s.lease_until) {
-      s.lease_key = key_hash;
-      s.lease_until = until;
-    }
-    // Seed the durable-offset record from the ack itself: once the lease
-    // lapses the version we just wrote *is* the durable one (that is what
-    // the lease means), so a later read whose entry still points at it can
-    // attempt one-sided with confidence, and one whose entry moved gets
-    // the stale-version oracle instead of a cold-cache guess. Stamped with
-    // the ETA, not now: the version only turns durable then.
-    if (new_off != 0) {
-      s.durable_key = key_hash;
-      s.durable_off = new_off;
-      s.durable_time = durable_eta;
-    }
-  }
-
-  [[nodiscard]] std::size_t bucket_count() const noexcept {
-    return slots_.size();
-  }
-  /// Buckets currently tripped to RPC-first (test/debug visibility).
-  [[nodiscard]] std::size_t tripped_buckets() const noexcept {
-    std::size_t n = 0;
-    for (const Slot& s : slots_) {
-      if (s.misses >= options_.trip_threshold) ++n;
-    }
-    return n;
-  }
   [[nodiscard]] const AdaptiveCounters& counters() const noexcept {
     return counters_;
   }
 
  private:
+  /// Record width (a power of two) and the seed of its key-to-bucket hash.
+  static constexpr std::size_t kBuckets = 8192;
+  static constexpr std::uint64_t kHashSeed = 0xADA9;
+
   struct Slot {
-    std::uint32_t misses = 0;       ///< consecutive flag-miss fallbacks
-    std::uint32_t probe_clock = 0;  ///< GETs since the last re-probe
-    std::uint32_t streak = 0;       ///< consecutive fast successes (sticky)
-    bool sticky = false;            ///< tripped before: stay cautious
-    bool churned = false;           ///< last moved-offset attempt missed:
-                                    ///< writes outpace the verifier here
-    SimTime lease_until = 0;        ///< hint lease deadline (0 = none)
-    std::uint64_t lease_key = 0;    ///< key the lease is for (latest writer)
-    std::uint64_t durable_key = 0;  ///< key the durable_off record is for
-    MemOffset durable_off = 0;      ///< last version proved durable (0 = n/a)
-    SimTime durable_time = 0;       ///< when that proof was observed
+    std::uint64_t key_hash = 0;  ///< key the offset is for
+    MemOffset off = 0;           ///< last version seen durable (0 = none)
   };
 
-  [[nodiscard]] std::size_t index(std::uint64_t key_hash) const noexcept {
-    return mix64(key_hash ^ options_.hash_seed) & mask_;
-  }
-  [[nodiscard]] Slot& slot(std::uint64_t key_hash) noexcept {
-    return slots_[index(key_hash)];
-  }
-
-  static constexpr std::uint64_t mix64(std::uint64_t x) noexcept {
+  [[nodiscard]] static std::size_t index(std::uint64_t key_hash) noexcept {
+    std::uint64_t x = key_hash ^ kHashSeed;
     x ^= x >> 33;
     x *= 0xFF51AFD7ED558CCDull;
     x ^= x >> 33;
     x *= 0xC4CEB9FE1A85EC53ull;
     x ^= x >> 33;
-    return x;
+    return x & (kBuckets - 1);
   }
 
-  AdaptiveReadOptions options_;
   AdaptiveCounters counters_;
   std::vector<Slot> slots_;
-  std::uint64_t mask_ = 0;
-  /// EWMA of (durable_eta - now) across received hints: the client's view
-  /// of how long a fresh write stays unflagged. Gates stale_version().
-  SimDuration window_ewma_ = 0;
 };
 
 }  // namespace efac::stores

@@ -225,13 +225,6 @@ AllocResponse ImmStore::alloc_reserve(const AllocRequest& alloc,
   resp.token = next_token_++;
   pending_.emplace(resp.token,
                    PendingWrite{staged->off, alloc.klen, alloc.vlen});
-  // Durability-hint protocol support (adaptive eFactory clients set
-  // want_hint; IMM's own clients never do): eta 0 = "no doomed window to
-  // predict" — durability rides the IMM ack, not a background verifier.
-  if (alloc.want_hint) {
-    resp.carry_hint = true;
-    ++stats_.hints_issued;
-  }
   return resp;
 }
 
@@ -393,12 +386,6 @@ AllocResponse ErdaStore::alloc_reserve(const AllocRequest& alloc,
                                     /*persist=*/false);
       table_.push_version(*slot, *off);  // the single atomic index store
       resp.object_off = *off;
-      // Hint protocol support, mirroring ImmStore: eta 0 = no estimate
-      // (Erda has no background verifier whose lag a client could dodge).
-      if (alloc.want_hint) {
-        resp.carry_hint = true;
-        ++stats_.hints_issued;
-      }
     }
   }
   return resp;

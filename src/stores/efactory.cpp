@@ -119,32 +119,6 @@ AllocResponse EFactoryStore::alloc_reserve(const AllocRequest& alloc,
   verify_queue_.push_back(*off);
   resp.status = StatusCode::kOk;
   resp.object_off = *off;
-  if (alloc.want_hint) {
-    // Durability hint for adaptive-read clients: estimate when the single
-    // background verifier will reach this object and flag it durable —
-    // queue depth (including this object) times the verifier's *measured*
-    // per-pop drain interval. The measured rate matters: under write-heavy
-    // skew most queued entries are superseded versions the verifier
-    // stale-skips nearly for free, so pricing each at full verify cost
-    // (CRC + flush + fence, the cold-start fallback below) overshoots by
-    // integer factors and would keep client leases alive long after the
-    // flag is set. The verifier still has to wait for the client's
-    // one-sided WRITE to land, which neither estimate can see; the client
-    // pads the lease with AdaptiveReadOptions::hint_margin_ns for exactly
-    // that reason. An off estimate only mis-routes a read (extra RPC or
-    // doomed probe), never produces a wrong result.
-    const std::size_t total =
-        kv::ObjectLayout::total_size(alloc.klen, alloc.vlen);
-    const SimDuration per =
-        verify_pop_ewma_ > 0 ? verify_pop_ewma_
-                             : config_.crc.cost(alloc.vlen) +
-                                   arena_->cost().flush_cost(total) +
-                                   arena_->cost().fence_ns;
-    resp.carry_hint = true;
-    resp.durable_eta =
-        sim_.now() + static_cast<SimDuration>(verify_queue_.size()) * per;
-    ++stats_.hints_issued;
-  }
   return resp;
 }
 
@@ -289,14 +263,9 @@ sim::Task<Expected<LocResponse>> EFactoryStore::locate_verified(
           checker_.get(), off,
           kv::ObjectLayout::flag_offset(meta.klen, meta.vlen),
           "efactory.get.durability_hit");
-      // For adaptive-read feedback: a one-sided read issued instead of
-      // this RPC would have found the flag set.
-      resp.was_durable = true;
       co_return resp;
     }
-    // Selective durability guarantee: verify + persist + flag. The flag is
-    // set *now*, by us — was_durable stays false, because a concurrent
-    // one-sided read would have missed it.
+    // Selective durability guarantee: verify + persist + flag.
     if (co_await verify_and_persist(off)) {
       co_return resp;
     }
@@ -316,9 +285,6 @@ sim::Task<void> EFactoryStore::handle_get_loc(rpc::ParsedRequest req) {
   } else {
     resp.status = located.status().code();
   }
-  // Echo the durability observation only to clients that asked, so the
-  // reply size (which feeds the latency model) is unchanged for others.
-  resp.carry_hint = get.want_hint;
   co_await charge(config_.cpu.send_post_ns);
   EFAC_ACK_SITE("efactory.locate_ack");
   reply(req, resp.encode());
@@ -376,28 +342,12 @@ sim::Task<bool> EFactoryStore::verify_and_persist(MemOffset off) {
 
 sim::Task<void> EFactoryStore::background_loop() {
   const std::uint64_t epoch = epoch_;
-  last_was_pop_ = false;  // a restart's idle gap is not a drain sample
   for (;;) {
     if (epoch != epoch_) co_return;  // superseded by a restart
     if (verify_queue_.empty()) {
-      last_was_pop_ = false;
       co_await charge(config_.bg_idle_ns);
       continue;
     }
-    // Sample the drain rate as the interval between consecutive pops (only
-    // across a continuously busy queue — idle gaps are excluded above).
-    // This folds in whatever mix of full verifies, stale skips, and
-    // retries the workload actually produces, which is what makes the
-    // durability hints in alloc_reserve track reality.
-    const SimTime pop_now = sim_.now();
-    if (last_was_pop_) {
-      const SimDuration sample = pop_now - last_pop_time_;
-      verify_pop_ewma_ = verify_pop_ewma_ == 0
-                             ? sample
-                             : (7 * verify_pop_ewma_ + sample) / 8;
-    }
-    last_pop_time_ = pop_now;
-    last_was_pop_ = true;
     const MemOffset off = verify_queue_.front();
     verify_queue_.pop_front();
     verifier_rec_.emit(trace::EventType::kVerifyScan, 0, off,
@@ -807,11 +757,10 @@ EFactoryClient::EFactoryClient(EFactoryStore& store,
     : ProtocolClient(store, options),
       efactory_(store),
       hybrid_(options.read_mode != ReadMode::kRpcOnly) {
-  // The tracker only informs the hybrid fast-path choice, so an RPC-only
-  // ("w/o hr") client never builds one even when the knob is on.
+  // The adaptive state only serves the hybrid fast path, so an RPC-only
+  // ("w/o hr") client never builds it even when the switch is on.
   if (options.adaptive.enabled && hybrid_) {
-    adaptive_ =
-        std::make_unique<AdaptiveReadTracker>(options.adaptive, metrics_);
+    adaptive_ = std::make_unique<AdaptiveReadState>(metrics_);
   }
 }
 
@@ -820,15 +769,9 @@ sim::Task<Status> EFactoryClient::put_attempt(Bytes key, Bytes value) {
   TRACE_SPAN(tracer_, "put.total");
   // Client computes the CRC that rides in the alloc request.
   co_await crc_pass(crc_cost(value.size()));
-  const AllocRequest req = alloc_request(key, value, adaptive_ != nullptr);
-  const Expected<AllocResponse> resp = co_await alloc_rpc(req);
+  const Expected<AllocResponse> resp =
+      co_await alloc_rpc(alloc_request(key, value));
   if (!resp) co_return resp.status();
-  if (adaptive_ != nullptr && resp->carry_hint) {
-    // Our own overwrite re-opens the not-yet-durable window for this key:
-    // lease the bucket RPC-first until the server's estimate expires.
-    adaptive_->note_hint(kv::hash_key(key), resp->durable_eta, sim_.now(),
-                         resp->object_off);
-  }
   // One-sided transfer of the value into the returned region.
   co_return co_await write_value(resp->object_off, key.size(), value);
 }
@@ -839,18 +782,10 @@ sim::Task<std::vector<Status>> EFactoryClient::put_batch_attempt(
   // One CRC pass over every member's value before the shared alloc RPC.
   co_await crc_pass(crc_cost(ops));
   // ONE alloc RPC reserves log space for the whole batch.
-  const BatchAllocRequest breq = batch_request(ops, adaptive_ != nullptr);
+  const BatchAllocRequest breq = batch_request(ops);
   const Expected<BatchAllocResponse> bresp = co_await batch_alloc_rpc(breq);
   if (!bresp) co_return std::vector<Status>(ops.size(), bresp.status());
-  BindHook note_hint;
-  if (adaptive_ != nullptr) {
-    note_hint = [this, &ops](std::size_t i, const AllocResponse& resp) {
-      if (!resp.carry_hint) return;
-      adaptive_->note_hint(kv::hash_key(ops[i].key), resp.durable_eta,
-                           sim_.now(), resp.object_off);
-    };
-  }
-  co_return co_await write_burst(ops, op_ids, *bresp, std::move(note_hint));
+  co_return co_await write_burst(ops, op_ids, *bresp);
 }
 
 sim::Task<Status> EFactoryClient::del_attempt(Bytes key) {
@@ -878,36 +813,20 @@ sim::Task<Expected<Bytes>> EFactoryClient::get_attempt(Bytes key) {
     fallback = trace::GetPath::kCleaningActive;
   }
 
-  // Adaptive routing: a key bucket that repeatedly found the durability
-  // flag unset — or whose own PUT ack leased it RPC-first — skips the
-  // doomed one-sided attempt entirely (docs/ADAPTIVE_READ.md).
-  const bool fast_eligible =
-      hybrid_ && !efactory_.clients_use_rpc() && vlen_hint_ > 0;
-  AdaptiveRoute route = AdaptiveRoute::kOneSided;
-  if (fast_eligible && adaptive_ != nullptr) {
-    route = adaptive_->route(key_hash, sim_.now());
-    if (route == AdaptiveRoute::kRpcFirst) {
-      fallback = trace::GetPath::kAdaptiveRpcFirst;
-    } else if (route == AdaptiveRoute::kHintLease) {
-      fallback = trace::GetPath::kDurabilityHint;
-    }
-  }
-
   // ---- optimistic pure-RDMA path -------------------------------------
-  if (fast_eligible && route != AdaptiveRoute::kRpcFirst &&
-      route != AdaptiveRoute::kHintLease) {
+  if (hybrid_ && !efactory_.clients_use_rpc() && vlen_hint_ > 0) {
     fallback = trace::GetPath::kEntryMiss;  // until proven otherwise
     // Client-side linear probing for displaced keys, then the object read.
     constexpr std::size_t kClientProbeLimit = 16;
     kv::HashDir& dir = efactory_.dir();
     std::size_t slot = dir.ideal_slot(key_hash);
-    // Speculative pair READ: when the tracker knows which offset this key
-    // was last proved durable at, the ideal-slot entry and the object at
-    // that offset are fetched in ONE doorbelled round trip. If the entry
-    // still points there, the GET completes in half the fast path's usual
-    // latency; if the key moved (or is displaced), only the prediction's
-    // response bytes were wasted and the serial path takes over with the
-    // entry already in hand.
+    // Speculative pair READ: when the durable-offset record knows which
+    // offset this key was last seen durable at, the ideal-slot entry and
+    // the object at that offset are fetched in ONE doorbelled round trip.
+    // If the entry still points there, the GET completes in half the fast
+    // path's usual latency; if the key moved (or is displaced), only the
+    // prediction's response bytes were wasted and the serial path takes
+    // over with the entry already in hand.
     const MemOffset spec_off =
         adaptive_ != nullptr ? adaptive_->predicted_off(key_hash) : 0;
     std::optional<Bytes> spec_bytes;
@@ -920,7 +839,6 @@ sim::Task<Expected<Bytes>> EFactoryClient::get_attempt(Bytes key) {
       // optimistic attempt disappears.
       GetLocRequest hedge_req;
       hedge_req.key = key;
-      hedge_req.want_hint = true;
       hedge = conn_.call_begin(kGetLoc, hedge_req.encode());
     }
     for (std::size_t probe = 0; probe < kClientProbeLimit; ++probe) {
@@ -967,19 +885,6 @@ sim::Task<Expected<Bytes>> EFactoryClient::get_attempt(Bytes key) {
       if (entry.empty()) break;
       if (entry.key_hash == key_hash) {
         if (entry.current() != 0) {
-          if (!spec_held && adaptive_ != nullptr &&
-              adaptive_->stale_version(key_hash, entry.current(),
-                                       sim_.now())) {
-            // The entry points at a different object than the one this
-            // client last proved durable: the key was overwritten since,
-            // and the fresh version is odds-on still inside the verifier
-            // window. Skip the full-width object READ we were about to
-            // waste — the locate RPC below answers authoritatively, and
-            // its feedback re-learns the new offset once it turns durable.
-            adaptive_->note_stale_skip();
-            fallback = trace::GetPath::kStaleVersion;
-            break;
-          }
           bool tombstoned = false;
           std::optional<Expected<Bytes>> value_opt;
           if (spec_held) {
@@ -1005,13 +910,10 @@ sim::Task<Expected<Bytes>> EFactoryClient::get_attempt(Bytes key) {
           }
           Expected<Bytes>& value = *value_opt;
           if (value || tombstoned) {
-            // Flag set (or conclusive tombstone): the fast path works for
-            // this bucket again — one success re-arms it entirely (and
-            // records which version was durable, arming the stale-version
-            // check for the key's next overwrite).
+            // Flag set (or conclusive tombstone): this version is the
+            // next GET's speculation target.
             if (adaptive_ != nullptr) {
-              adaptive_->note_fast_success(key_hash, entry.current(),
-                                           sim_.now());
+              adaptive_->note_durable(key_hash, entry.current());
             }
             if (hedge) {
               conn_.call_abandon(std::move(*hedge));
@@ -1026,9 +928,6 @@ sim::Task<Expected<Bytes>> EFactoryClient::get_attempt(Bytes key) {
           }
           if (value.code() == StatusCode::kUnavailable) {
             fallback = trace::GetPath::kFlagUnset;
-            // The doomed case the tracker predicts: we paid the full
-            // one-sided round trip only to find the flag unset.
-            if (adaptive_ != nullptr) adaptive_->note_flag_miss(key_hash, entry.current());
           } else if (value.code() == StatusCode::kTimeout) {
             fallback = trace::GetPath::kReadError;
           }
@@ -1054,23 +953,16 @@ sim::Task<Expected<Bytes>> EFactoryClient::get_attempt(Bytes key) {
   } else {
     GetLocRequest req;
     req.key = key;
-    req.want_hint = adaptive_ != nullptr;
     raw = co_await conn_.call_timeout(kGetLoc, req.encode(),
                                       options_.retry.rpc_timeout_ns);
   }
   rpc_span.finish();
   if (!raw) co_return raw.status();
   const LocResponse resp = LocResponse::decode(*raw);
-  // Locate-reply feedback: every RPC-path GET tells the tracker what a
-  // one-sided read at that moment would have found, so buckets routed
-  // RPC-first re-arm the instant the server sees the flag set — without
-  // risking a wasted optimistic READ to find out (docs/ADAPTIVE_READ.md).
-  if (adaptive_ != nullptr && resp.carry_hint &&
-      resp.status == StatusCode::kOk) {
-    adaptive_->note_loc_feedback(key_hash, resp.was_durable,
-                                 resp.object_off, sim_.now());
-  }
   if (resp.status != StatusCode::kOk) co_return Status{resp.status};
+  // The server hands out only verified-durable locations: record this one
+  // as the key's next speculation target (docs/ADAPTIVE_READ.md).
+  if (adaptive_ != nullptr) adaptive_->note_durable(key_hash, resp.object_off);
   // The server verified this location; the header is re-validated against
   // the expected identity before the value is trusted.
   const Expected<Bytes> raw_obj = co_await read_object(

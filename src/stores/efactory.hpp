@@ -161,16 +161,6 @@ class EFactoryStore final : public DirStore {
   sim::Task<bool> await_verifiable(MemOffset off);
 
   std::deque<MemOffset> verify_queue_;
-  /// Measured drain rate of the verifier, as an integer EWMA of the
-  /// virtual time between consecutive queue pops (`ewma = (7*ewma + s)/8`).
-  /// Durability hints multiply this by the queue depth instead of pricing
-  /// every queued object at full verify cost — superseded versions are
-  /// stale-skipped nearly for free, so the naive estimate overshoots by
-  /// integer factors under write-heavy skew and keeps client hint leases
-  /// alive long after the flags are set. 0 until the first two pops.
-  SimDuration verify_pop_ewma_ = 0;
-  SimTime last_pop_time_ = 0;
-  bool last_was_pop_ = false;
   /// Flight-recorder tracks for the two background actors (detached when
   /// tracing is off; attach order fixes the track ids after server/faults).
   trace::Recorder verifier_rec_;
@@ -211,9 +201,9 @@ class EFactoryClient final : public ProtocolClient {
   bool hybrid_;
   /// Adaptive hybrid-read state (stores/adaptive.hpp), or nullptr when
   /// options.adaptive.enabled is false or reads are RPC-only — the common
-  /// case costs one pointer test per GET and keeps the wire format, the
-  /// metrics namespace, and dispatch schedules untouched.
-  std::unique_ptr<AdaptiveReadTracker> adaptive_;
+  /// case costs one pointer test per GET and keeps the metrics namespace
+  /// and dispatch schedules untouched.
+  std::unique_ptr<AdaptiveReadState> adaptive_;
 };
 
 }  // namespace efac::stores

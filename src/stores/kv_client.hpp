@@ -101,10 +101,9 @@ struct ClientOptions {
   /// beyond the window queue FIFO on the window semaphore. Sync
   /// put/get/del bypass the window entirely.
   std::size_t max_inflight = 16;
-  /// Adaptive hybrid-read tuning (eFactory GETs; see stores/adaptive.hpp
-  /// and docs/ADAPTIVE_READ.md). Disabled by default: the read path, the
-  /// wire format and the dispatch schedule stay bit-identical to the
-  /// non-adaptive client.
+  /// Adaptive hybrid read (eFactory GETs; see stores/adaptive.hpp and
+  /// docs/ADAPTIVE_READ.md). Disabled by default: the read path and the
+  /// dispatch schedule stay bit-identical to the non-adaptive client.
   AdaptiveReadOptions adaptive;
 };
 
@@ -421,7 +420,7 @@ class KvClient {
     // non-adaptive clients, which keeps shard exports shape-stable).
     for (const char* name :
          {"read.adaptive.hedges", "read.adaptive.hedges_wasted",
-          "read.adaptive.spec_pairs", "read.adaptive.rpc_first"}) {
+          "read.adaptive.spec_pairs"}) {
       telemetry_->add_counter_source(this, name, metrics_.counter(name));
     }
     telemetry_->add_gauge_probe(this, "client.inflight", [this] {

@@ -19,8 +19,7 @@ constexpr std::size_t kClientProbeLimit = 16;
 
 // ================================================================= client
 
-AllocRequest alloc_request(const Bytes& key, const Bytes& value,
-                           bool want_hint) {
+AllocRequest alloc_request(const Bytes& key, const Bytes& value) {
   AllocRequest req;
   req.klen = static_cast<std::uint32_t>(key.size());
   req.vlen = static_cast<std::uint32_t>(value.size());
@@ -28,7 +27,6 @@ AllocRequest alloc_request(const Bytes& key, const Bytes& value,
   // it charge their own CRC pass (crc_pass / server-side verification).
   req.crc = kv::object_crc(kv::hash_key(key), req.klen, req.vlen, value);
   req.key = key;
-  req.want_hint = want_hint;
   return req;
 }
 
@@ -88,12 +86,12 @@ sim::Task<Status> ProtocolClient::write_value(MemOffset object_off,
 }
 
 BatchAllocRequest ProtocolClient::batch_request(
-    const std::vector<PutOp>& ops, bool want_hint) {
+    const std::vector<PutOp>& ops) {
   BatchAllocRequest breq;
   breq.items.reserve(ops.size());
   for (const PutOp& op : ops) {
     ++stats_.puts;
-    breq.items.push_back(alloc_request(op.key, op.value, want_hint));
+    breq.items.push_back(alloc_request(op.key, op.value));
   }
   return breq;
 }
@@ -113,7 +111,7 @@ sim::Task<Expected<BatchAllocResponse>> ProtocolClient::batch_alloc_rpc(
 
 sim::Task<std::vector<Status>> ProtocolClient::write_burst(
     std::vector<PutOp>& ops, const std::vector<std::uint32_t>& op_ids,
-    const BatchAllocResponse& bresp, BindHook on_bind) {
+    const BatchAllocResponse& bresp) {
   const bool faultable = store_.injector().enabled();
   std::vector<Status> out(ops.size());
   metrics::Span write_span{tracer_, "put.data_write"};
@@ -126,7 +124,6 @@ sim::Task<std::vector<Status>> ProtocolClient::write_burst(
       out[i] = Status{resp.status};
       continue;
     }
-    if (on_bind) on_bind(i, resp);
     recorder_.emit(trace::EventType::kObjBind, 0, resp.object_off);
     const MemOffset off = value_off(resp.object_off, ops[i].key.size());
     if (faultable) {

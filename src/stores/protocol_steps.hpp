@@ -19,15 +19,14 @@
 //
 // Request building, offset math and decoding are plain functions; only
 // steps that actually suspend are sim::Tasks. Steps take data, never a
-// system identity: extra per-system work (eFactory's durability hints,
-// IMM's ack arming, sanitizer guard kinds and site labels) is done by the
-// caller around the step or passed in as a parameter.
+// system identity: extra per-system work (IMM's ack arming, sanitizer
+// guard kinds and site labels) is done by the caller around the step or
+// passed in as a parameter.
 #pragma once
 
 #include <array>
 #include <coroutine>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "analysis/checker.hpp"
@@ -48,8 +47,7 @@ namespace efac::stores {
 
 /// Alloc request for one PUT. The CRC rides along whether or not the
 /// system verifies it (recovery re-verifies every candidate by CRC).
-[[nodiscard]] AllocRequest alloc_request(const Bytes& key, const Bytes& value,
-                                         bool want_hint = false);
+[[nodiscard]] AllocRequest alloc_request(const Bytes& key, const Bytes& value);
 
 /// Validate a raw one-sided object snapshot against the expected identity
 /// and extract the value. Pure CPU — no verbs. A valid tombstone answers
@@ -81,10 +79,6 @@ struct SpannedDelay {
 class ProtocolClient : public KvClient {
  protected:
   ProtocolClient(StoreBase& store, const ClientOptions& options);
-
-  /// Called at each member's bind point in write_burst, before its
-  /// kObjBind event (member index, its alloc response).
-  using BindHook = std::function<void(std::size_t, const AllocResponse&)>;
 
   /// Pool-relative remote offset of absolute arena offset `off`.
   [[nodiscard]] MemOffset pool_off(MemOffset off) noexcept {
@@ -122,8 +116,7 @@ class ProtocolClient : public KvClient {
 
   /// Batch-reserve request: one alloc item per member, each counted as a
   /// PUT.
-  [[nodiscard]] BatchAllocRequest batch_request(const std::vector<PutOp>& ops,
-                                                bool want_hint = false);
+  [[nodiscard]] BatchAllocRequest batch_request(const std::vector<PutOp>& ops);
 
   /// One kAllocBatch round trip ("put.alloc_rpc") reserving every member;
   /// per-member outcomes are in the response items, in request order.
@@ -138,7 +131,7 @@ class ProtocolClient : public KvClient {
   /// own tear/lost-completion outcome. Returns one status per member.
   sim::Task<std::vector<Status>> write_burst(
       std::vector<PutOp>& ops, const std::vector<std::uint32_t>& op_ids,
-      const BatchAllocResponse& bresp, BindHook on_bind = {});
+      const BatchAllocResponse& bresp);
 
   /// Client-side linear probing over a HashDir: READ entries from the
   /// key's ideal slot ("get.entry_read" each, at most 16) until the key's

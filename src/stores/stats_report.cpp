@@ -77,8 +77,7 @@ void print_server_stats(std::ostream& os,
            {"bg timeouts (invalidated)", "server.bg_timeouts"},
            {"GET durability-flag hits", "server.get_durability_hits"},
            {"log-cleaning rounds", "server.cleanings"},
-           {"objects migrated by cleaning", "server.cleaned_objects"},
-           {"durability hints issued", "server.hints_issued"}});
+           {"objects migrated by cleaning", "server.cleaned_objects"}});
 }
 
 void print_client_stats(std::ostream& os,
@@ -96,21 +95,10 @@ void print_client_stats(std::ostream& os,
   // Adaptive-read counters exist only on clients with the feature enabled
   // (stores/adaptive.hpp); skip the whole section otherwise so default
   // reports are unchanged.
-  if (registry.find_counter("read.adaptive.hints") != nullptr) {
+  if (registry.find_counter("read.adaptive.spec_pairs") != nullptr) {
     section(os, "adaptive read", registry,
-            {{"durability hints received", "read.adaptive.hints"},
-             {"hint-lease skips", "read.adaptive.hint_skips"},
-             {"tracker rpc-first GETs", "read.adaptive.rpc_first"},
-             {"re-probes while tripped", "read.adaptive.probes"},
-             {"bucket trips", "read.adaptive.trips"},
-             {"bucket re-arms", "read.adaptive.rearms"},
-             {"locate feedback (flag set)", "read.adaptive.feedback_set"},
-             {"locate feedback (flag unset)", "read.adaptive.feedback_unset"},
-             {"stale-version skips", "read.adaptive.stale_skips"},
-             {"speculative pair READs", "read.adaptive.spec_pairs"},
+            {{"speculative pair READs", "read.adaptive.spec_pairs"},
              {"hedged locate RPCs", "read.adaptive.hedges"},
-             {"rpc-first rate", "read.adaptive.rpc_first", "client.gets"},
-             {"hint-skip rate", "read.adaptive.hint_skips", "client.gets"},
              {"speculation hold rate", "read.adaptive.spec_hits",
               "read.adaptive.spec_pairs"},
              {"hedge waste rate", "read.adaptive.hedges_wasted",

@@ -51,7 +51,6 @@ struct ServerStats {
   std::uint64_t get_durability_hits = 0;  ///< RPC GET found flag already set
   std::uint64_t cleanings = 0;         ///< completed log-cleaning rounds
   std::uint64_t cleaned_objects = 0;   ///< objects migrated by cleaning
-  std::uint64_t hints_issued = 0;      ///< durability hints sent on alloc acks
 };
 
 /// Durability-lint over an object's recovery-meaningful bytes: the span
@@ -110,7 +109,7 @@ class StoreBase {
                        stats_.persists,   stats_.crc_checks,
                        stats_.bg_verified, stats_.bg_timeouts,
                        stats_.get_durability_hits, stats_.cleanings,
-                       stats_.cleaned_objects, stats_.hints_issued};
+                       stats_.cleaned_objects};
   }
   /// Cluster-side registry: server counters ("server.*"), arena counters
   /// ("arena.*") and server-side span histograms ("span.server.*").
@@ -185,8 +184,7 @@ class StoreBase {
           bg_timeouts(r.counter("server.bg_timeouts")),
           get_durability_hits(r.counter("server.get_durability_hits")),
           cleanings(r.counter("server.cleanings")),
-          cleaned_objects(r.counter("server.cleaned_objects")),
-          hints_issued(r.counter("server.hints_issued")) {}
+          cleaned_objects(r.counter("server.cleaned_objects")) {}
     metrics::Counter& requests;
     metrics::Counter& allocs;
     metrics::Counter& persists;
@@ -196,7 +194,6 @@ class StoreBase {
     metrics::Counter& get_durability_hits;
     metrics::Counter& cleanings;
     metrics::Counter& cleaned_objects;
-    metrics::Counter& hints_issued;
   };
 
   /// Dispatch one inbound message (request or IMM notification).

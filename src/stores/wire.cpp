@@ -1,7 +1,5 @@
 #include "stores/wire.hpp"
 
-#include "common/contracts.hpp"
-
 namespace efac::stores {
 
 Bytes AllocRequest::encode() const {
@@ -10,9 +8,6 @@ Bytes AllocRequest::encode() const {
   w.put_u32(vlen);
   w.put_u32(crc);
   w.put_blob(key);
-  // Optional tail: present only for adaptive-read clients, so the wire
-  // size (which feeds the latency model) is unchanged for everyone else.
-  if (want_hint) EFAC_WIRE_TAIL("alloc_req.want_hint"), w.put_u8(1);
   return std::move(w).take();
 }
 
@@ -24,8 +19,6 @@ AllocRequest AllocRequest::decode(BytesView raw) {
   req.crc = r.get_u32();
   const BytesView key = r.get_blob();
   req.key.assign(key.begin(), key.end());
-  req.want_hint = (EFAC_WIRE_TAIL("alloc_req.want_hint"),
-                   !r.exhausted() && r.get_u8() != 0);
   return req;
 }
 
@@ -35,11 +28,6 @@ Bytes AllocResponse::encode() const {
   w.put_u64(object_off);
   w.put_u32(token);
   w.put_u64(entry_off);
-  // Optional tail, mirroring AllocRequest::want_hint.
-  if (carry_hint) {
-    EFAC_WIRE_TAIL("alloc_resp.durable_eta");
-    w.put_u64(static_cast<std::uint64_t>(durable_eta));
-  }
   return std::move(w).take();
 }
 
@@ -50,11 +38,6 @@ AllocResponse AllocResponse::decode(BytesView raw) {
   resp.object_off = r.get_u64();
   resp.token = r.get_u32();
   resp.entry_off = r.get_u64();
-  if (!r.exhausted()) {
-    EFAC_WIRE_TAIL("alloc_resp.durable_eta");
-    resp.carry_hint = true;
-    resp.durable_eta = static_cast<SimTime>(r.get_u64());
-  }
   return resp;
 }
 
@@ -99,9 +82,6 @@ BatchAllocResponse BatchAllocResponse::decode(BytesView raw) {
 Bytes GetLocRequest::encode() const {
   ByteWriter w{key.size() + 8};
   w.put_blob(key);
-  // Optional tail, mirroring AllocRequest::want_hint: only adaptive-read
-  // clients pay the extra wire byte.
-  if (want_hint) EFAC_WIRE_TAIL("get_loc_req.want_hint"), w.put_u8(1);
   return std::move(w).take();
 }
 
@@ -110,8 +90,6 @@ GetLocRequest GetLocRequest::decode(BytesView raw) {
   GetLocRequest req;
   const BytesView key = r.get_blob();
   req.key.assign(key.begin(), key.end());
-  req.want_hint = (EFAC_WIRE_TAIL("get_loc_req.want_hint"),
-                   !r.exhausted() && r.get_u8() != 0);
   return req;
 }
 
@@ -121,11 +99,6 @@ Bytes LocResponse::encode() const {
   w.put_u64(object_off);
   w.put_u32(klen);
   w.put_u32(vlen);
-  // Optional tail, present only when the request asked for it.
-  if (carry_hint) {
-    EFAC_WIRE_TAIL("loc_resp.was_durable");
-    w.put_u8(was_durable ? 1 : 0);
-  }
   return std::move(w).take();
 }
 
@@ -136,11 +109,6 @@ LocResponse LocResponse::decode(BytesView raw) {
   resp.object_off = r.get_u64();
   resp.klen = r.get_u32();
   resp.vlen = r.get_u32();
-  if (!r.exhausted()) {
-    EFAC_WIRE_TAIL("loc_resp.was_durable");
-    resp.carry_hint = true;
-    resp.was_durable = r.get_u8() != 0;
-  }
   return resp;
 }
 

@@ -39,11 +39,6 @@ struct AllocRequest {
   std::uint32_t vlen = 0;
   std::uint32_t crc = 0;  ///< CRC of the value the client will write
   Bytes key;
-  /// Adaptive-read clients ask the server to piggyback a durability hint
-  /// on the ack. Encoded as an OPTIONAL trailing byte, present only when
-  /// set: wire sizes feed the latency model, so a non-adaptive client's
-  /// requests stay byte-identical to the pre-hint format.
-  bool want_hint = false;
 
   [[nodiscard]] Bytes encode() const;
   static AllocRequest decode(BytesView raw);
@@ -54,13 +49,6 @@ struct AllocResponse {
   MemOffset object_off = 0;  ///< absolute arena offset of the object start
   std::uint32_t token = 0;   ///< IMM: immediate value to carry in the write
   MemOffset entry_off = 0;   ///< Rcommit: arena offset of the hash entry
-  /// Durability hint (present iff the request set want_hint, as an
-  /// optional trailing word — replies to non-adaptive clients stay
-  /// byte-identical): the server's estimate of the virtual time at which
-  /// the object becomes durable. 0 = durable at ack (systems whose ack
-  /// IS the durability point: IMM, SAW, ...) or no estimate.
-  bool carry_hint = false;
-  SimTime durable_eta = 0;
 
   [[nodiscard]] Bytes encode() const;
   static AllocResponse decode(BytesView raw);
@@ -86,10 +74,6 @@ struct BatchAllocResponse {
 
 struct GetLocRequest {
   Bytes key;
-  /// Optional tail (adaptive-read clients only): ask the server to report
-  /// whether the object's durability flag was already set when it looked —
-  /// free, perfectly fresh feedback for the client's fallback tracker.
-  bool want_hint = false;
 
   [[nodiscard]] Bytes encode() const;
   static GetLocRequest decode(BytesView raw);
@@ -100,12 +84,6 @@ struct LocResponse {
   MemOffset object_off = 0;
   std::uint32_t klen = 0;
   std::uint32_t vlen = 0;
-  /// Optional tail, present only when the request carried want_hint:
-  /// whether the durability flag was set *before* this RPC (a flag set by
-  /// the RPC's own on-demand verify counts as unset — a one-sided read at
-  /// the same moment would have missed).
-  bool carry_hint = false;
-  bool was_durable = false;
 
   [[nodiscard]] Bytes encode() const;
   static LocResponse decode(BytesView raw);

@@ -21,7 +21,6 @@ const char* const kGetPathNames[static_cast<std::size_t>(
     GetPath::kPathCount)] = {
     "fast one-sided", "rpc-only mode",    "cleaning active",
     "flag unset",     "index-entry miss", "read error",
-    "adaptive rpc-first", "durability-hint lease", "stale version",
 };
 
 EventLog::EventLog(sim::Simulator& sim, std::size_t capacity,

@@ -83,10 +83,6 @@ enum class GetPath : std::uint8_t {
   kFlagUnset,          ///< durability flag not yet set → RPC fallback
   kEntryMiss,          ///< index entry missing/stale → RPC fallback
   kReadError,          ///< one-sided read failed → RPC fallback
-  kAdaptiveRpcFirst,   ///< adaptive tracker tripped: one-sided read skipped
-  kDurabilityHint,     ///< durability-hint lease active: one-sided skipped
-  kStaleVersion,       ///< entry offset moved since the last durable read:
-                       ///< fresh overwrite, object read skipped
   kPathCount
 };
 extern const char* const kGetPathNames[static_cast<std::size_t>(

@@ -1,9 +1,9 @@
 // Adaptive hybrid read (stores/adaptive.hpp + the eFactory client wiring).
 //
-// Pins the tracker's hysteresis, the durability-hint lease under virtual
-// time, the optional-tail wire format (byte-identical when unused), the
-// end-to-end hint-skip / re-arm flow against a real EFactoryStore, and
-// deterministic replay with the feature on — including under a fault
+// Pins the durable-offset record (learned from one-sided successes and
+// from locate replies, key-scoped under bucket collisions), the
+// speculative pair READs and hedges a write-heavy Zipfian run produces,
+// and deterministic replay with the feature on — including under a fault
 // plan with the retry engine armed.
 #include <gtest/gtest.h>
 
@@ -18,237 +18,135 @@
 #include "stores/adaptive.hpp"
 #include "stores/efactory.hpp"
 #include "stores/factory.hpp"
-#include "stores/wire.hpp"
 #include "workload/runner.hpp"
 
 namespace efac::stores {
 namespace {
 
-// ------------------------------------------------------------ tracker unit
+// ------------------------------------------------------ durable-offset record
 
-AdaptiveReadOptions tracker_options() {
-  AdaptiveReadOptions o;
-  o.enabled = true;
-  o.buckets = 16;
-  o.trip_threshold = 2;
-  o.probe_period = 4;
-  o.unstick_after = 0;  // plain trip/probe/re-arm hysteresis for these tests
-  return o;
-}
-
-TEST(AdaptiveTracker, TripsAfterConsecutiveMissesThenProbesPeriodically) {
+TEST(AdaptiveOffsetRecord, CollidingKeyNeverReadsItsNeighboursOffset) {
   metrics::MetricsRegistry registry;
-  AdaptiveReadTracker tracker{tracker_options(), registry};
-  const std::uint64_t key = 0xFEED;
+  AdaptiveReadState state{registry};
+  const std::uint64_t key_a = 0xFEED;
+  constexpr MemOffset kOffA = 4096;
+  constexpr MemOffset kOffB = 8192;
+  EXPECT_EQ(state.predicted_off(key_a), 0u);  // cold bucket
+  state.note_durable(key_a, kOffA);
+  EXPECT_EQ(state.predicted_off(key_a), kOffA);
 
-  // Below the threshold the bucket stays optimistic.
-  EXPECT_EQ(tracker.route(key, 0), AdaptiveRoute::kOneSided);
-  tracker.note_flag_miss(key);
-  EXPECT_EQ(tracker.route(key, 0), AdaptiveRoute::kOneSided);
-  EXPECT_EQ(tracker.tripped_buckets(), 0u);
-
-  // The second consecutive miss trips it.
-  tracker.note_flag_miss(key);
-  EXPECT_EQ(tracker.tripped_buckets(), 1u);
-  EXPECT_EQ(tracker.counters().trips.value(), 1u);
-
-  // While tripped: every probe_period-th GET re-probes, the rest go
-  // RPC-first.
-  int probes = 0;
-  int rpc_first = 0;
-  for (int i = 0; i < 8; ++i) {
-    const AdaptiveRoute r = tracker.route(key, 0);
-    EXPECT_NE(r, AdaptiveRoute::kOneSided);
-    probes += r == AdaptiveRoute::kProbe;
-    rpc_first += r == AdaptiveRoute::kRpcFirst;
+  // Find a key that shares key_a's bucket: recording it takes the bucket
+  // over, which is the only way key_a's record can disappear.
+  std::uint64_t key_b = key_a + 1;
+  for (;; ++key_b) {
+    state.note_durable(key_b, kOffB);
+    if (state.predicted_off(key_a) != kOffA) break;
   }
-  EXPECT_EQ(probes, 2);
-  EXPECT_EQ(rpc_first, 6);
-  EXPECT_EQ(tracker.counters().probes.value(), 2u);
-  EXPECT_EQ(tracker.counters().rpc_first.value(), 6u);
-
-  // Further misses saturate: no double-counted trips.
-  tracker.note_flag_miss(key);
-  EXPECT_EQ(tracker.counters().trips.value(), 1u);
+  // Latest observation wins the bucket, and the evicted key predicts
+  // nothing rather than its neighbour's offset.
+  EXPECT_EQ(state.predicted_off(key_b), kOffB);
+  EXPECT_EQ(state.predicted_off(key_a), 0u);
+  state.note_durable(key_a, kOffA);
+  EXPECT_EQ(state.predicted_off(key_b), 0u);
+  EXPECT_EQ(state.predicted_off(key_a), kOffA);
 }
 
-TEST(AdaptiveTracker, OneFastSuccessReArmsATrippedBucket) {
-  metrics::MetricsRegistry registry;
-  AdaptiveReadTracker tracker{tracker_options(), registry};
-  const std::uint64_t key = 0xBEEF;
-  tracker.note_flag_miss(key);
-  tracker.note_flag_miss(key);
-  ASSERT_EQ(tracker.tripped_buckets(), 1u);
-
-  tracker.note_fast_success(key);
-  EXPECT_EQ(tracker.tripped_buckets(), 0u);
-  EXPECT_EQ(tracker.counters().rearms.value(), 1u);
-  EXPECT_EQ(tracker.route(key, 0), AdaptiveRoute::kOneSided);
-
-  // A success on a healthy bucket is not a re-arm.
-  tracker.note_fast_success(key);
-  EXPECT_EQ(tracker.counters().rearms.value(), 1u);
+// Runs one GET of `key` to completion and checks it returned `value`.
+void get_and_check(sim::Simulator& sim, KvClient& client, const Bytes& key,
+                   const Bytes& value) {
+  bool done = false;
+  sim.spawn([](KvClient& c, Bytes k, Bytes v, bool* flag) -> sim::Task<void> {
+    const Expected<Bytes> got = co_await c.get(k);
+    EXPECT_TRUE(got.has_value());
+    if (got.has_value()) {
+      EXPECT_EQ(*got, v);
+    }
+    *flag = true;
+  }(client, key, value, &done));
+  while (!done) sim.run_until(sim.now() + timeconst::kMicrosecond);
 }
 
-TEST(AdaptiveTracker, StickyBucketStaysFlagFirstUntilAQuietStreak) {
-  AdaptiveReadOptions options = tracker_options();
-  options.unstick_after = 3;
-  options.probe_period = 1;  // make every sticky GET a probe, deterministically
-  metrics::MetricsRegistry registry;
-  AdaptiveReadTracker tracker{options, registry};
-  const std::uint64_t key = 0xD00D;
-
-  // Trip the bucket, then re-arm it with one success: the miss count
-  // clears but the bucket stays sticky — GETs keep the probe cadence
-  // instead of returning to blind full-width reads.
-  tracker.note_flag_miss(key);
-  tracker.note_flag_miss(key);
-  tracker.note_fast_success(key);
-  EXPECT_EQ(tracker.tripped_buckets(), 0u);
-  EXPECT_EQ(tracker.route(key, 0), AdaptiveRoute::kProbe);
-
-  // A miss resets the success streak without waiting for a full re-trip.
-  tracker.note_fast_success(key);  // streak: 2
-  tracker.note_flag_miss(key);     // streak: 0, misses: 1 (below threshold)
-  EXPECT_EQ(tracker.route(key, 0), AdaptiveRoute::kProbe);
-
-  // Three consecutive successes un-stick it: back to the pure fast path.
-  tracker.note_fast_success(key);
-  tracker.note_fast_success(key);
-  tracker.note_fast_success(key);
-  EXPECT_EQ(tracker.route(key, 0), AdaptiveRoute::kOneSided);
+std::uint64_t counter(const KvClient& client, const char* name) {
+  const metrics::Counter* c = client.metrics().find_counter(name);
+  EXPECT_NE(c, nullptr) << name;
+  return c != nullptr ? c->value() : 0;
 }
 
-TEST(AdaptiveTracker, HintLeaseSkipsUntilExpiryUnderVirtualTime) {
-  AdaptiveReadOptions options = tracker_options();
-  options.hint_margin_ns = 100;
-  metrics::MetricsRegistry registry;
-  AdaptiveReadTracker tracker{options, registry};
-  const std::uint64_t key = 0xCAFE;
+/// One adaptive client on a real store. 4 KB values make the server's
+/// on-demand verify (a CRC over the value) outlast the client's object
+/// READ, so a hedge cannot flag an object before the attempt sees it.
+constexpr std::size_t kValueLen = 4096;
 
-  tracker.note_hint(key, /*durable_eta=*/1000, /*now=*/0);
-  EXPECT_EQ(tracker.counters().hints.value(), 1u);
+struct AdaptiveStore {
+  explicit AdaptiveStore(StoreConfig config = {}) {
+    config.pool_bytes = 4 * sizeconst::kMiB;
+    store = std::make_unique<EFactoryStore>(*sim, config);
+    store->start();
+    ClientOptions options;
+    options.size_hint = {16, kValueLen};
+    options.adaptive.enabled = true;
+    client = store->make_client(options);
+  }
+  void put(const Bytes& key, const Bytes& value) {
+    bool done = false;
+    sim->spawn([](KvClient& c, Bytes k, Bytes v, bool* flag)
+                   -> sim::Task<void> {
+      EXPECT_TRUE((co_await c.put(k, v)).is_ok());
+      *flag = true;
+    }(*client, key, value, &done));
+    while (!done) sim->run_until(sim->now() + timeconst::kMicrosecond);
+  }
 
-  // Before eta + margin: skip straight to RPC.
-  EXPECT_EQ(tracker.route(key, 500), AdaptiveRoute::kHintLease);
-  EXPECT_EQ(tracker.route(key, 1099), AdaptiveRoute::kHintLease);
-  EXPECT_EQ(tracker.counters().hint_skips.value(), 2u);
+  std::unique_ptr<sim::Simulator> sim = std::make_unique<sim::Simulator>();
+  std::unique_ptr<EFactoryStore> store;
+  std::unique_ptr<KvClient> client;
+};
 
-  // At the deadline the lease lapses and the bucket re-arms on its own.
-  EXPECT_EQ(tracker.route(key, 1100), AdaptiveRoute::kOneSided);
-  // Lapsed means gone, not dormant: earlier times don't revive it.
-  EXPECT_EQ(tracker.route(key, 500), AdaptiveRoute::kOneSided);
+TEST(AdaptiveOffsetRecord, LearnedFromAOneSidedSuccess) {
+  AdaptiveStore t;
+  const Bytes key(16, 'k');
+  const Bytes value(kValueLen, 'v');
+  t.put(key, value);
+  t.sim->run_until(t.sim->now() + timeconst::kMillisecond);  // verified
+
+  // Nothing recorded yet: a plain serial one-sided read, whose hedge is
+  // abandoned once the flag proves set.
+  get_and_check(*t.sim, *t.client, key, value);
+  EXPECT_EQ(t.client->stats().gets_pure_rdma, 1u);
+  EXPECT_EQ(counter(*t.client, "read.adaptive.spec_pairs"), 0u);
+  EXPECT_EQ(counter(*t.client, "read.adaptive.hedges_wasted"), 1u);
+
+  // That success recorded the offset: the next GET is one pair READ.
+  get_and_check(*t.sim, *t.client, key, value);
+  EXPECT_EQ(t.client->stats().gets_pure_rdma, 2u);
+  EXPECT_EQ(counter(*t.client, "read.adaptive.spec_pairs"), 1u);
+  EXPECT_EQ(counter(*t.client, "read.adaptive.spec_hits"), 1u);
 }
 
-TEST(AdaptiveTracker, HintsIgnoredWhenDisabledOrWithoutEstimate) {
-  AdaptiveReadOptions options = tracker_options();
-  options.use_hints = false;
-  metrics::MetricsRegistry registry;
-  AdaptiveReadTracker tracker{options, registry};
-  tracker.note_hint(1, 1000, /*now=*/0);
-  EXPECT_EQ(tracker.route(1, 0), AdaptiveRoute::kOneSided);
+TEST(AdaptiveOffsetRecord, LearnedFromALocateReply) {
+  // A verifier that idles for 10 ms after finding its queue empty leaves
+  // the new object unflagged, so the first GET must fall back to RPC.
+  StoreConfig config;
+  config.bg_idle_ns = 10 * timeconst::kMillisecond;
+  AdaptiveStore t{config};
+  const Bytes key(16, 'k');
+  const Bytes value(kValueLen, 'v');
+  t.put(key, value);
 
-  AdaptiveReadOptions with_hints = tracker_options();
-  metrics::MetricsRegistry registry2;
-  AdaptiveReadTracker tracker2{with_hints, registry2};
-  // eta == 0 means "durable at ack / no estimate": nothing to lease.
-  tracker2.note_hint(1, 0, /*now=*/0);
-  EXPECT_EQ(tracker2.route(1, 0), AdaptiveRoute::kOneSided);
-}
+  get_and_check(*t.sim, *t.client, key, value);
+  EXPECT_EQ(t.client->stats().gets_rpc_path, 1u);
+  EXPECT_EQ(counter(*t.client, "read.adaptive.spec_pairs"), 0u);
+  EXPECT_EQ(counter(*t.client, "read.adaptive.hedges_wasted"), 0u);
 
-// ------------------------------------------------------------- wire format
-
-TEST(AdaptiveWire, HintTailIsOptionalAndBackwardCompatible) {
-  AllocRequest req;
-  req.klen = 4;
-  req.vlen = 64;
-  req.crc = 0xDEAD;
-  req.key = Bytes{'a', 'b', 'c', 'd'};
-  const Bytes plain = req.encode();
-  req.want_hint = true;
-  const Bytes hinted = req.encode();
-  // The tail is exactly one byte, present only when requested — wire
-  // sizes feed the latency model, so this is what keeps non-adaptive
-  // schedules bit-identical.
-  EXPECT_EQ(hinted.size(), plain.size() + 1);
-  EXPECT_FALSE(AllocRequest::decode(plain).want_hint);
-  EXPECT_TRUE(AllocRequest::decode(hinted).want_hint);
-
-  AllocResponse resp;
-  resp.object_off = 4096;
-  resp.token = 7;
-  const Bytes bare = resp.encode();
-  resp.carry_hint = true;
-  resp.durable_eta = 123456789;
-  const Bytes carrying = resp.encode();
-  EXPECT_EQ(carrying.size(), bare.size() + 8);
-  EXPECT_FALSE(AllocResponse::decode(bare).carry_hint);
-  const AllocResponse round = AllocResponse::decode(carrying);
-  EXPECT_TRUE(round.carry_hint);
-  EXPECT_EQ(round.durable_eta, 123456789);
-  EXPECT_EQ(round.object_off, 4096u);
+  // The locate reply's offset (verified on demand by the server) is the
+  // next GET's prediction, and it holds.
+  get_and_check(*t.sim, *t.client, key, value);
+  EXPECT_EQ(t.client->stats().gets_pure_rdma, 1u);
+  EXPECT_EQ(counter(*t.client, "read.adaptive.spec_pairs"), 1u);
+  EXPECT_EQ(counter(*t.client, "read.adaptive.spec_hits"), 1u);
 }
 
 // -------------------------------------------------------------- end to end
-
-TEST(AdaptiveRead, HintLeaseSkipsThenLapsesAgainstARealStore) {
-  auto sim = std::make_unique<sim::Simulator>();
-  StoreConfig config;
-  config.pool_bytes = 4 * sizeconst::kMiB;
-  EFactoryStore store{*sim, config};
-  store.start();
-
-  ClientOptions options;
-  options.size_hint = {16, 128};
-  options.adaptive.enabled = true;
-  // Stretch the lease well past the client's WRITE + GET issue latency so
-  // the first read deterministically lands inside the doomed window.
-  options.adaptive.hint_margin_ns = 200 * timeconst::kMicrosecond;
-  auto client = store.make_client(options);
-
-  const Bytes key(16, 'k');
-  const Bytes value(128, 'v');
-
-  bool done = false;
-  sim->spawn([](KvClient& c, Bytes k, Bytes v, bool* flag) -> sim::Task<void> {
-    EXPECT_TRUE((co_await c.put(k, v)).is_ok());
-    // The PUT ack carried a durability hint; this read must skip the
-    // one-sided attempt and still return the value via RPC.
-    const Expected<Bytes> got = co_await c.get(k);
-    EXPECT_TRUE(got.has_value());
-    if (got.has_value()) {
-      EXPECT_EQ(*got, v);
-    }
-    *flag = true;
-  }(*client, key, value, &done));
-  while (!done) sim->run_until(sim->now() + timeconst::kMillisecond);
-
-  const metrics::MetricsRegistry& m = client->metrics();
-  ASSERT_NE(m.find_counter("read.adaptive.hints"), nullptr);
-  EXPECT_GE(m.find_counter("read.adaptive.hints")->value(), 1u);
-  EXPECT_EQ(m.find_counter("read.adaptive.hint_skips")->value(), 1u);
-  EXPECT_EQ(client->stats().gets_rpc_path, 1u);
-  EXPECT_EQ(client->stats().gets_pure_rdma, 0u);
-
-  // Let the lease lapse (and the verifier flag the object), then read
-  // again: back on the fast one-sided path.
-  sim->run_until(sim->now() + timeconst::kMillisecond);
-  done = false;
-  sim->spawn([](KvClient& c, Bytes k, Bytes v, bool* flag) -> sim::Task<void> {
-    const Expected<Bytes> got = co_await c.get(k);
-    EXPECT_TRUE(got.has_value());
-    if (got.has_value()) {
-      EXPECT_EQ(*got, v);
-    }
-    *flag = true;
-  }(*client, key, value, &done));
-  while (!done) sim->run_until(sim->now() + timeconst::kMillisecond);
-
-  EXPECT_EQ(client->stats().gets_pure_rdma, 1u);
-  EXPECT_EQ(m.find_counter("read.adaptive.hint_skips")->value(), 1u);
-  // The server counted the hint it piggybacked.
-  EXPECT_GE(store.server_stats().hints_issued, 1u);
-}
 
 workload::RunOptions write_heavy_options() {
   workload::RunOptions options;
@@ -269,56 +167,45 @@ workload::RunResult run_write_heavy(const workload::RunOptions& options) {
   return workload::run_workload(*sim, cluster, options);
 }
 
-TEST(AdaptiveRead, WriteHeavyZipfExercisesTrackerAndHints) {
+TEST(AdaptiveRead, WriteHeavyZipfExercisesSpecPairsAndHedges) {
   workload::RunOptions options = write_heavy_options();
   options.client.adaptive.enabled = true;
   const workload::RunResult result = run_write_heavy(options);
 
-  const metrics::Counter* hints =
-      result.metrics.find_counter("read.adaptive.hints");
-  ASSERT_NE(hints, nullptr);
-  EXPECT_GT(hints->value(), 0u);
-  // Hot keys under a 50 %-write Zipfian mix land in the not-yet-durable
-  // window; the whole point of the feature is that some of those reads
-  // are routed RPC-first instead of paying the doomed one-sided probe.
-  const std::uint64_t skips =
-      result.metrics.find_counter("read.adaptive.hint_skips")->value() +
-      result.metrics.find_counter("read.adaptive.rpc_first")->value();
-  EXPECT_GT(skips, 0u);
+  const auto value = [&](const char* name) {
+    const metrics::Counter* c = result.metrics.find_counter(name);
+    EXPECT_NE(c, nullptr) << name;
+    return c != nullptr ? c->value() : 0;
+  };
+  // Hot keys re-read between overwrites: some predictions hold, some
+  // keys moved since this client last saw them durable.
+  EXPECT_GT(value("read.adaptive.spec_pairs"), 0u);
+  EXPECT_GT(value("read.adaptive.spec_hits"), 0u);
+  EXPECT_LT(value("read.adaptive.spec_hits"),
+            value("read.adaptive.spec_pairs"));
+  // Every optimistic attempt is hedged; attempts that landed waste theirs.
+  EXPECT_GT(value("read.adaptive.hedges_wasted"), 0u);
+  EXPECT_LT(value("read.adaptive.hedges_wasted"),
+            value("read.adaptive.hedges"));
+  // Nothing routes a GET RPC-first or skips its object READ any more; the
+  // two counters stay registered at zero for the repository benchmark.
+  EXPECT_EQ(value("read.adaptive.rpc_first"), 0u);
+  EXPECT_EQ(value("read.adaptive.stale_skips"), 0u);
   EXPECT_GT(result.gets, 0u);
   EXPECT_EQ(result.get_failures, 0u);
 }
 
 TEST(AdaptiveRead, DisabledRunExportsNoAdaptiveMetrics) {
   const workload::RunResult result = run_write_heavy(write_heavy_options());
-  EXPECT_EQ(result.metrics.find_counter("read.adaptive.hints"), nullptr);
+  EXPECT_EQ(result.metrics.find_counter("read.adaptive.spec_pairs"), nullptr);
   const std::string json = metrics::to_json(result.metrics, "adaptive-off");
   EXPECT_EQ(json.find("read.adaptive"), std::string::npos);
 }
 
-TEST(AdaptiveRead, TrackerOnlyModeTripsWithoutHints) {
-  workload::RunOptions options = write_heavy_options();
-  options.client.adaptive.enabled = true;
-  options.client.adaptive.use_hints = false;
-  options.client.adaptive.trip_threshold = 1;
-  options.client.adaptive.probe_period = 8;
-  const workload::RunResult result = run_write_heavy(options);
-
-  const metrics::Counter* trips =
-      result.metrics.find_counter("read.adaptive.trips");
-  ASSERT_NE(trips, nullptr);
-  EXPECT_GT(trips->value(), 0u);
-  EXPECT_GT(result.metrics.find_counter("read.adaptive.rpc_first")->value(),
-            0u);
-  EXPECT_EQ(result.metrics.find_counter("read.adaptive.hint_skips")->value(),
-            0u);
-  EXPECT_EQ(result.get_failures, 0u);
-}
-
-// Adaptive routing is pure client CPU: repeated seeded runs with the
-// feature on must replay bit-identically, including under a fault plan
-// with the retry engine armed (the tracker sees kUnavailable fallbacks
-// from dropped RPCs exactly the same way every time).
+// The adaptive read is pure client CPU plus one hedged RPC per attempt:
+// repeated seeded runs with the feature on must replay bit-identically,
+// including under a fault plan with the retry engine armed (dropped and
+// delayed hedges resolve exactly the same way every time).
 TEST(AdaptiveRead, FaultPlanRunsReplayBitIdentically) {
   const auto run_once = [] {
     const Expected<fault::FaultPlan> plan = fault::FaultPlan::parse(

@@ -220,9 +220,9 @@ TEST(Determinism, BatchedAsyncRunsAreBitIdentical) {
   EXPECT_EQ(run_once(), run_once());
 }
 
-// The adaptive hybrid read adds per-client routing state and an optional
-// wire tail; both are pure functions of the schedule, so enabling the
-// feature must not cost reproducibility: two identical adaptive runs
+// The adaptive hybrid read adds a per-client durable-offset record and a
+// hedged locate RPC; both are pure functions of the schedule, so enabling
+// the feature must not cost reproducibility: two identical adaptive runs
 // share every dispatch decision and export byte-identical metrics
 // (including the read.adaptive.* counters).
 TEST(Determinism, AdaptiveReadRunsAreBitIdentical) {

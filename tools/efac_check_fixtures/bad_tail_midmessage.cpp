@@ -1,7 +1,7 @@
 // EFAC003: optional wire tails must be feature-gated and append-only —
 // a tail written unconditionally changes every client's wire size, and a
 // fixed field after a sometimes-present tail shifts its own offset.
-// Shape: the AllocResponse::durable_eta hint tail done wrong.
+// Shape: an optional trailing timestamp done wrong.
 #include "common/contracts.hpp"
 
 struct ByteWriter {

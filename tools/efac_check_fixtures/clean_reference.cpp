@@ -78,7 +78,7 @@ unsigned long decode_guarded_tail(ByteReader& r) {
 }
 
 bool decode_comma_guarded_tail(ByteReader& r) {
-  // the wire.cpp idiom: marker folded into the exhaustion-guarded read
+  // the comma idiom: marker folded into the exhaustion-guarded read
   const bool hint =
       (EFAC_WIRE_TAIL("clean.hint"), !r.exhausted() && r.get_u8() != 0);
   return hint;
