@@ -41,34 +41,25 @@ struct AdaptiveReadOptions {
   bool enabled = false;
 };
 
-/// `read.adaptive.*` counters, registered on the owning client's registry.
-/// Constructed only when the feature is enabled, so disabled clients
-/// export byte-identical metrics.
-struct AdaptiveCounters {
-  explicit AdaptiveCounters(metrics::MetricsRegistry& r)
-      : spec_pairs(r.counter("read.adaptive.spec_pairs")),
-        spec_hits(r.counter("read.adaptive.spec_hits")),
-        hedges(r.counter("read.adaptive.hedges")),
-        hedges_wasted(r.counter("read.adaptive.hedges_wasted")) {
+/// Per-client adaptive-read state: the durable-offset record plus the
+/// `read.adaptive.*` counters. Constructed only when the feature is
+/// enabled, so disabled clients export byte-identical metrics. All methods
+/// are O(1), allocation-free after construction, and deterministic (no
+/// RNG, no simulator interaction).
+class AdaptiveReadState {
+ public:
+  explicit AdaptiveReadState(metrics::MetricsRegistry& r)
+      : spec_pairs_(r.counter("read.adaptive.spec_pairs")),
+        spec_hits_(r.counter("read.adaptive.spec_hits")),
+        hedges_(r.counter("read.adaptive.hedges")),
+        hedges_wasted_(r.counter("read.adaptive.hedges_wasted")),
+        slots_(kBuckets) {
     // No GET is routed RPC-first or skips its object READ any more, so
     // these two stay zero. They stay registered because the repository
     // benchmark reports rpc_first_ratio and stale_skip_ratio from them.
     r.counter("read.adaptive.rpc_first");
     r.counter("read.adaptive.stale_skips");
   }
-  metrics::Counter& spec_pairs;     ///< speculative entry+object pair READs
-  metrics::Counter& spec_hits;      ///< pairs where the prediction held
-  metrics::Counter& hedges;         ///< locate RPCs raced against attempts
-  metrics::Counter& hedges_wasted;  ///< hedges abandoned (the attempt held)
-};
-
-/// Per-client adaptive-read state: the durable-offset record plus its
-/// counters. All methods are O(1), allocation-free after construction,
-/// and deterministic (no RNG, no simulator interaction).
-class AdaptiveReadState {
- public:
-  explicit AdaptiveReadState(metrics::MetricsRegistry& registry)
-      : counters_(registry), slots_(kBuckets) {}
 
   /// The offset this client last saw durable for `key_hash`, or 0 if none
   /// is recorded (cold bucket, or the record belongs to a colliding key).
@@ -90,19 +81,15 @@ class AdaptiveReadState {
   /// A speculative pair READ was issued; `held` says whether the entry
   /// confirmed the predicted offset (the object snapshot was usable).
   void note_spec_pair(bool held) {
-    ++counters_.spec_pairs;
-    if (held) ++counters_.spec_hits;
+    ++spec_pairs_;
+    if (held) ++spec_hits_;
   }
 
   /// A locate RPC was raced against an optimistic attempt; `wasted` says
   /// the attempt landed and the response was abandoned unread.
   void note_hedge(bool wasted) {
-    ++counters_.hedges;
-    if (wasted) ++counters_.hedges_wasted;
-  }
-
-  [[nodiscard]] const AdaptiveCounters& counters() const noexcept {
-    return counters_;
+    ++hedges_;
+    if (wasted) ++hedges_wasted_;
   }
 
  private:
@@ -125,7 +112,10 @@ class AdaptiveReadState {
     return x & (kBuckets - 1);
   }
 
-  AdaptiveCounters counters_;
+  metrics::Counter& spec_pairs_;     ///< speculative entry+object pair READs
+  metrics::Counter& spec_hits_;      ///< pairs where the prediction held
+  metrics::Counter& hedges_;         ///< locate RPCs raced against attempts
+  metrics::Counter& hedges_wasted_;  ///< hedges abandoned (the attempt held)
   std::vector<Slot> slots_;
 };
 

@@ -6,14 +6,12 @@
 // the default policy (one attempt, no RPC timeout) the loop is a plain
 // pass-through: no RNG draws, no delays, bit-identical schedules.
 //
-// Interaction with the adaptive read path (stores/adaptive.hpp): an
-// eFactory hybrid GET whose one-sided read finds the durability flag
-// unset does NOT surface kUnavailable to this retry loop — the attempt
-// falls back to the RPC path *inside* get_attempt and usually succeeds,
-// so the engine sees one clean attempt. The adaptive tracker observes
-// those internal flag-miss fallbacks instead, routing repeat offenders
-// RPC-first; with adaptive reads on, retry pressure from hot keys drops
-// rather than rises. kUnavailable still reaches this loop (and is still
+// Interaction with the hybrid read path: an eFactory GET whose one-sided
+// read finds the durability flag unset does NOT surface kUnavailable to
+// this retry loop — the attempt falls back to the RPC path *inside*
+// get_attempt (finishing its hedged locate RPC when the adaptive read is
+// on, stores/adaptive.hpp) and usually succeeds, so the engine sees one
+// clean attempt. kUnavailable still reaches this loop (and is still
 // retryable) when the RPC fallback itself fails, e.g. under fault plans.
 #pragma once
 
