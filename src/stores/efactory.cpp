@@ -769,8 +769,8 @@ sim::Task<Status> EFactoryClient::put_attempt(Bytes key, Bytes value) {
   TRACE_SPAN(tracer_, "put.total");
   // Client computes the CRC that rides in the alloc request.
   co_await crc_pass(crc_cost(value.size()));
-  const Expected<AllocResponse> resp =
-      co_await alloc_rpc(alloc_request(key, value));
+  const AllocRequest req = alloc_request(key, value);
+  const Expected<AllocResponse> resp = co_await alloc_rpc(req);
   if (!resp) co_return resp.status();
   // One-sided transfer of the value into the returned region.
   co_return co_await write_value(resp->object_off, key.size(), value);
