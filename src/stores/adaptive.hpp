@@ -54,9 +54,9 @@ class AdaptiveReadState {
         hedges_(r.counter("read.adaptive.hedges")),
         hedges_wasted_(r.counter("read.adaptive.hedges_wasted")),
         slots_(kBuckets) {
-    // No GET is routed RPC-first or skips its object READ any more, so
-    // these two stay zero. They stay registered because the repository
-    // benchmark reports rpc_first_ratio and stale_skip_ratio from them.
+    // Nothing increments these two. They stay registered because the
+    // repository benchmark reports rpc_first_ratio and stale_skip_ratio
+    // from them.
     r.counter("read.adaptive.rpc_first");
     r.counter("read.adaptive.stale_skips");
   }

@@ -94,8 +94,9 @@ void print_client_stats(std::ostream& os,
            {"pure-read rate", "client.gets_pure_rdma", "client.gets"}});
   // Adaptive-read counters exist only on clients with the feature enabled
   // (stores/adaptive.hpp); skip the whole section otherwise so default
-  // reports are unchanged.
-  if (registry.find_counter("read.adaptive.spec_pairs") != nullptr) {
+  // reports are unchanged. spec_hits is the probe because the telemetry
+  // sampler creates the spec_pairs and hedge series on every client.
+  if (registry.find_counter("read.adaptive.spec_hits") != nullptr) {
     section(os, "adaptive read", registry,
             {{"speculative pair READs", "read.adaptive.spec_pairs"},
              {"hedged locate RPCs", "read.adaptive.hedges"},

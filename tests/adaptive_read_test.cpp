@@ -72,11 +72,12 @@ std::uint64_t counter(const KvClient& client, const char* name) {
   return c != nullptr ? c->value() : 0;
 }
 
-/// One adaptive client on a real store. 4 KB values make the server's
-/// on-demand verify (a CRC over the value) outlast the client's object
-/// READ, so a hedge cannot flag an object before the attempt sees it.
+/// 4 KB values make the server's on-demand verify (a CRC over the value)
+/// outlast the client's object READ, so a hedge cannot flag an object
+/// before the attempt sees it.
 constexpr std::size_t kValueLen = 4096;
 
+/// One adaptive client on a real store.
 struct AdaptiveStore {
   explicit AdaptiveStore(StoreConfig config = {}) {
     config.pool_bytes = 4 * sizeconst::kMiB;
@@ -187,8 +188,8 @@ TEST(AdaptiveRead, WriteHeavyZipfExercisesSpecPairsAndHedges) {
   EXPECT_GT(value("read.adaptive.hedges_wasted"), 0u);
   EXPECT_LT(value("read.adaptive.hedges_wasted"),
             value("read.adaptive.hedges"));
-  // Nothing routes a GET RPC-first or skips its object READ any more; the
-  // two counters stay registered at zero for the repository benchmark.
+  // Nothing increments these two; they stay registered at zero for the
+  // repository benchmark's rpc_first_ratio and stale_skip_ratio.
   EXPECT_EQ(value("read.adaptive.rpc_first"), 0u);
   EXPECT_EQ(value("read.adaptive.stale_skips"), 0u);
   EXPECT_GT(result.gets, 0u);
