@@ -692,6 +692,7 @@ EFactoryStore::RecoveryReport EFactoryStore::recover() {
   clean_backlog_ = 0;
   verify_queue_.clear();
 
+  std::vector<bool> rebuilt(dir_.bucket_count(), false);
   for (Survivor& s : survivors) {
     const std::size_t total =
         kv::ObjectLayout::total_size(s.meta.klen, s.meta.vlen);
@@ -723,21 +724,17 @@ EFactoryStore::RecoveryReport EFactoryStore::recover() {
     entry.mark = false;
     dir_.write(s.slot, entry);
     dir_.persist(s.slot);
+    rebuilt[s.slot] = true;
   }
   // Lost / deleted keys: clear their entries so probing stays correct
   // (key_hash kept, offsets zeroed — the slot still terminates probes).
   for (std::size_t slot = 0; slot < dir_.bucket_count(); ++slot) {
     kv::HashDir::Entry entry = dir_.read(slot);
-    if (entry.empty()) continue;
-    const bool rebuilt =
-        std::any_of(survivors.begin(), survivors.end(),
-                    [&](const Survivor& s) { return s.slot == slot; });
-    if (!rebuilt) {
-      entry.off_old = entry.off_new = 0;
-      entry.mark = false;
-      dir_.write(slot, entry);
-      dir_.persist(slot);
-    }
+    if (entry.empty() || rebuilt[slot]) continue;
+    entry.off_old = entry.off_new = 0;
+    entry.mark = false;
+    dir_.write(slot, entry);
+    dir_.persist(slot);
   }
 
   // Old long-running actors (background verifier, a cleaning round caught

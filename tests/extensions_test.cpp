@@ -4,6 +4,9 @@
 //   * the future-hardware Rcommit store (RDMA Durable Write Commit).
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <map>
+
 #include "stores/efactory.hpp"
 #include "stores/rcommit.hpp"
 #include "store_test_util.hpp"
@@ -121,6 +124,24 @@ struct RestartFixture : ::testing::Test {
   }
   workload::Workload wl{workload::WorkloadConfig{
       .key_count = 32, .key_len = 32, .value_len = 256}};
+
+  /// Rogue alloc with no data write: a torn head version of `key`.
+  void torn_alloc(Bytes key) {
+    rpc::Connection rogue{tc.sim, store().fabric(), store().node(),
+                          store().directory(), store().next_qp_id()};
+    AllocRequest req;
+    req.klen = 32;
+    req.vlen = 256;
+    req.crc = 0xBAD;
+    req.key = std::move(key);
+    bool done = false;
+    tc.sim.spawn([](rpc::Connection& c, AllocRequest r,
+                    bool* flag) -> sim::Task<void> {
+      static_cast<void>(co_await c.call(kAlloc, r.encode()));
+      *flag = true;
+    }(rogue, req, &done));
+    tc.run_until_done([&] { return done; });
+  }
 };
 
 TEST_F(RestartFixture, RecoverRebuildsAndServes) {
@@ -169,22 +190,7 @@ TEST_F(RestartFixture, RecoverCompactsPools) {
 TEST_F(RestartFixture, RecoverDropsTornHeadsKeepsOlder) {
   ASSERT_TRUE(tc.put_sync(wl.key_at(7), wl.value_for(7, 1)).is_ok());
   tc.run_until_done([&] { return store().verify_queue_depth() == 0; });
-
-  // Rogue alloc with no data write: a torn head version.
-  rpc::Connection rogue{tc.sim, store().fabric(), store().node(),
-                        store().directory(), store().next_qp_id()};
-  AllocRequest req;
-  req.klen = 32;
-  req.vlen = 256;
-  req.crc = 0xBAD;
-  req.key = wl.key_at(7);
-  bool done = false;
-  tc.sim.spawn([](rpc::Connection& c, AllocRequest r,
-                  bool* flag) -> sim::Task<void> {
-    static_cast<void>(co_await c.call(kAlloc, r.encode()));
-    *flag = true;
-  }(rogue, req, &done));
-  tc.run_until_done([&] { return done; });
+  torn_alloc(wl.key_at(7));
 
   store().crash();
   const EFactoryStore::RecoveryReport report = store().recover();
@@ -193,6 +199,51 @@ TEST_F(RestartFixture, RecoverDropsTornHeadsKeepsOlder) {
   const Expected<Bytes> got = tc.get_sync(*client, wl.key_at(7));
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(*got, wl.value_for(7, 1));
+}
+
+TEST_F(RestartFixture, RecoverClearsLostKeyAheadOfDisplacedLiveKey) {
+  // Two keys with one ideal slot: the first claims it, the second is
+  // displaced to the next slot of the same probe chain.
+  Bytes lost;
+  Bytes live;
+  std::map<std::size_t, Bytes> first_at_slot;
+  for (int i = 0; live.empty(); ++i) {
+    char name[33];
+    std::snprintf(name, sizeof name, "probe-chain-key-%016d", i);
+    Bytes key = to_bytes(name);
+    const auto [it, fresh] = first_at_slot.emplace(
+        store().dir().ideal_slot(kv::hash_key(key)), key);
+    if (!fresh) {
+      lost = it->second;
+      live = std::move(key);
+    }
+  }
+
+  // The lost key's only version is torn; the live key sits behind it.
+  torn_alloc(lost);
+  const Bytes value = make_value(256, 5);
+  ASSERT_TRUE(tc.put_sync(live, value).is_ok());
+  tc.run_until_done([&] { return store().verify_queue_depth() == 0; });
+  const Expected<std::size_t> lost_slot =
+      store().dir().find(kv::hash_key(lost));
+  ASSERT_TRUE(lost_slot.has_value());
+  ASSERT_EQ(*store().dir().find(kv::hash_key(live)),
+            (*lost_slot + 1) % store().dir().bucket_count());
+
+  store().crash();
+  const EFactoryStore::RecoveryReport report = store().recover();
+  EXPECT_EQ(report.keys_recovered, 1u);
+  EXPECT_EQ(report.keys_lost, 1u);
+  // The lost key keeps its slot (it still extends the probe chain) with
+  // no version left to point at.
+  const kv::HashDir::Entry entry = store().dir().read(*lost_slot);
+  EXPECT_EQ(entry.key_hash, kv::hash_key(lost));
+  EXPECT_EQ(entry.off_old, 0u);
+  EXPECT_EQ(entry.off_new, 0u);
+  auto client = tc.cluster.make_client(testutil::hinted(32, 256));
+  const Expected<Bytes> got = tc.get_sync(*client, live);
+  ASSERT_TRUE(got.has_value()) << got.status().to_string();
+  EXPECT_EQ(*got, value);
 }
 
 TEST_F(RestartFixture, RecoverPreservesDeletes) {
