@@ -40,6 +40,16 @@ workload::RunResult run_with(const workload::RunOptions& options,
   return result;
 }
 
+/// Share of the run's GETs served by pure one-sided reads, in percent.
+double pure_read_pct(const workload::RunResult& result) {
+  const metrics::Counter* gets = result.metrics.find_counter("client.gets");
+  const metrics::Counter* pure =
+      result.metrics.find_counter("client.gets_pure_rdma");
+  if (gets == nullptr || pure == nullptr || gets->value() == 0) return 0.0;
+  return 100.0 * static_cast<double>(pure->value()) /
+         static_cast<double>(gets->value());
+}
+
 // ---- A: receive-region batching ----------------------------------------
 
 void recv_mode_ablation(benchmark::State& state, bool batched) {
@@ -75,11 +85,7 @@ void bg_cadence_ablation(benchmark::State& state, SimDuration period_ns) {
         options, config,
         "ablation/bg_cadence/" + std::to_string(period_ns / 1000) + "us/");
     state.SetIterationTime(static_cast<double>(result.span_ns) * 1e-9);
-    const double pure_pct =
-        result.client_stats.gets == 0
-            ? 0.0
-            : 100.0 * static_cast<double>(result.client_stats.gets_pure_rdma) /
-                  static_cast<double>(result.client_stats.gets);
+    const double pure_pct = pure_read_pct(result);
     state.counters["pure_read_pct"] = pure_pct;
     state.counters["Mops"] = result.mops;
     const std::string row =
@@ -155,12 +161,7 @@ void crc_speed_ablation(benchmark::State& state, double per_byte_ns) {
         static_cast<double>(with_hr.span_ns + without_hr.span_ns) * 1e-9);
     const double gain_pct =
         100.0 * (with_hr.mops - without_hr.mops) / without_hr.mops;
-    const double pure_pct =
-        with_hr.client_stats.gets == 0
-            ? 0.0
-            : 100.0 *
-                  static_cast<double>(with_hr.client_stats.gets_pure_rdma) /
-                  static_cast<double>(with_hr.client_stats.gets);
+    const double pure_pct = pure_read_pct(with_hr);
     state.counters["hybrid_gain_pct"] = gain_pct;
     const std::string row = TextTable::num(per_byte_ns, 2) + " ns/B";
     const std::string table =

@@ -103,20 +103,21 @@ Point run_point(SystemKind kind, std::size_t value_len, std::size_t batch) {
   auto client = cluster.make_client(options);
   const workload::Workload wl{sizing.workload};
 
-  const stores::ServerStats before = cluster.store->server_stats();
+  const stores::StoreBase::Counters& server = cluster.store->server_stats();
+  const std::uint64_t requests0 = server.requests;
+  const std::uint64_t allocs0 = server.allocs;
   const SimTime start = sim.now();
   SimTime end = start;
   bool done = false;
   sim.spawn(drive_batches(*client, wl, kTotalOps, batch, sim, &end, &done));
   while (!done) sim.run_until(sim.now() + timeconst::kMillisecond);
-  const stores::ServerStats after = cluster.store->server_stats();
 
   Point p;
   const double elapsed_us =
       static_cast<double>(end - start) / timeconst::kMicrosecond;
   p.mops = static_cast<double>(kTotalOps) / elapsed_us;
-  p.server_requests = after.requests - before.requests;
-  p.server_allocs = after.allocs - before.allocs;
+  p.server_requests = server.requests - requests0;
+  p.server_allocs = server.allocs - allocs0;
   p.alloc_rpcs_per_op = static_cast<double>(p.server_requests) /
                         static_cast<double>(kTotalOps);
 

@@ -52,12 +52,11 @@ std::vector<trace::EventLog::Snapshot> g_trace_snapshots;
 // --batch= state (default 1 = plain sync ops through the runner).
 std::size_t g_batch = 1;
 
-// --telemetry / --slo= state: sampler on/off, an optional period override
-// (0 = keep the TelemetryOptions default), the pre-validated rule texts,
-// and the snapshots adopted from each sampled run, in measurement order.
+// --telemetry state: sampler on/off, an optional period override (0 =
+// keep the TelemetryOptions default), and the snapshots adopted from each
+// sampled run, in measurement order.
 bool g_telemetry = false;
 SimDuration g_telem_period = 0;
-std::vector<std::string> g_slo_rules;
 std::vector<metrics::TelemetrySnapshot> g_telem_snapshots;
 
 }  // namespace
@@ -92,7 +91,6 @@ void maybe_enable_telemetry(stores::StoreConfig& config) {
   if (!g_telemetry) return;
   config.telemetry.enabled = true;
   if (g_telem_period > 0) config.telemetry.period_ns = g_telem_period;
-  config.telemetry.slo_rules = g_slo_rules;
 }
 
 void maybe_adopt_telemetry(stores::StoreBase& store, std::string label) {
@@ -371,16 +369,6 @@ workload::RunResult throughput_point(SystemKind kind, workload::Mix mix,
       combined.get_failures += result.get_failures;
       combined.put_failures += result.put_failures;
       combined.span_ns += result.span_ns;
-      combined.client_stats.puts += result.client_stats.puts;
-      combined.client_stats.gets += result.client_stats.gets;
-      combined.client_stats.gets_pure_rdma +=
-          result.client_stats.gets_pure_rdma;
-      combined.client_stats.gets_rpc_path +=
-          result.client_stats.gets_rpc_path;
-      combined.client_stats.version_rereads +=
-          result.client_stats.version_rereads;
-      combined.client_stats.client_crc_checks +=
-          result.client_stats.client_crc_checks;
       combined.metrics.merge_from(result.metrics);
     }
   }
@@ -493,7 +481,6 @@ int bench_main(int argc, char** argv, std::string_view figure) {
     constexpr std::string_view kTraceFlag = "--trace-out=";
     constexpr std::string_view kBatchFlag = "--batch=";
     constexpr std::string_view kTelemetryFlag = "--telemetry";
-    constexpr std::string_view kSloFlag = "--slo=";
     if (arg == kTelemetryFlag || arg.rfind("--telemetry=", 0) == 0) {
       g_telemetry = true;
       if (arg.size() > kTelemetryFlag.size()) {
@@ -508,30 +495,6 @@ int bench_main(int argc, char** argv, std::string_view figure) {
         }
         g_telem_period = static_cast<SimDuration>(parsed);
       }
-      continue;
-    }
-    if (arg.rfind(kSloFlag, 0) == 0) {
-      // Semicolon-separated because rule text contains commas
-      // (ratio(a, b) > 0.5). --slo implies telemetry.
-      std::string_view rules = arg.substr(kSloFlag.size());
-      while (!rules.empty()) {
-        const std::size_t semi = std::min(rules.find(';'), rules.size());
-        const std::string_view text = rules.substr(0, semi);
-        rules.remove_prefix(std::min(semi + 1, rules.size()));
-        if (text.empty()) continue;
-        const Expected<metrics::SloRule> rule = metrics::SloRule::parse(text);
-        if (!rule) {
-          std::cerr << "bad --slo rule \"" << text
-                    << "\": " << rule.status().to_string() << std::endl;
-          return 1;
-        }
-        g_slo_rules.emplace_back(text);
-      }
-      if (g_slo_rules.empty()) {
-        std::cerr << "--slo= needs at least one rule" << std::endl;
-        return 1;
-      }
-      g_telemetry = true;
       continue;
     }
     if (arg.rfind(kBatchFlag, 0) == 0) {
@@ -644,25 +607,6 @@ int bench_main(int argc, char** argv, std::string_view figure) {
     std::cout << g_telem_snapshots.size()
               << " telemetry snapshot(s) exported to " << telem_path
               << std::endl;
-
-    if (!g_slo_rules.empty()) {
-      std::size_t total = 0;
-      for (const metrics::TelemetrySnapshot& snap : g_telem_snapshots) {
-        for (const metrics::SloViolation& v : snap.violations) {
-          std::cerr << "SLO violation [" << snap.label << "] " << v.rule
-                    << " — value " << v.value << " vs threshold "
-                    << v.threshold << " at t=" << v.t_ns << "ns" << std::endl;
-          ++total;
-        }
-        total += snap.violations_dropped;
-      }
-      if (total > 0) {
-        std::cerr << total << " SLO violation(s); failing the run"
-                  << std::endl;
-        return 2;
-      }
-      std::cout << "SLO watchdog: all rules held" << std::endl;
-    }
   }
   return 0;
 }

@@ -67,13 +67,11 @@ void maybe_enable_trace(stores::StoreConfig& config);
 /// Snapshot the store's event log under `label` (no-op unless tracing).
 void maybe_adopt_trace(stores::StoreBase& store, std::string label);
 
-/// --telemetry[=<period_ns>] / --slo=<rule[;rule...]> support (both parsed
-/// and stripped by bench_main; --slo implies --telemetry). When active, the
-/// measurement helpers run their clusters with the virtual-time sampler on
-/// and adopt one labelled snapshot per run; bench_main validates and writes
-/// the combined efac.telemetry.v1 document to TELEM_<figure>.json. With
-/// --slo=, any recorded violation makes the bench exit non-zero (the SLO
-/// gate CI runs).
+/// --telemetry[=<period_ns>] support (parsed and stripped by bench_main).
+/// When active, the measurement helpers run their clusters with the
+/// virtual-time sampler on and adopt one labelled snapshot per run;
+/// bench_main validates and writes the combined efac.telemetry.v1 document
+/// to TELEM_<figure>.json.
 bool telemetry_requested();
 
 /// Turn the telemetry sampler on in `config` iff --telemetry is active.

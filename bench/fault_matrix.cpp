@@ -305,14 +305,13 @@ TrialTally run_trial(SystemKind kind, const fault::FaultPlan& plan,
     }
   }
 
-  const stores::ClientStats cs = client->stats();
-  tally.retries = cs.retries;
-  tally.giveups = cs.giveups;
-  tally.gets_rpc_path = cs.gets_rpc_path;
-  if (client2) {
-    tally.retries += client2->stats().retries;
-    tally.giveups += client2->stats().giveups;
-  }
+  // Retries and give-ups of both clients, summed by the registry merge.
+  metrics::MetricsRegistry clients;
+  client->merge_metrics_into(clients, {});
+  if (client2) client2->merge_metrics_into(clients, {});
+  tally.retries = clients.counter("client.retries");
+  tally.giveups = clients.counter("client.giveups");
+  tally.gets_rpc_path = client->stats().gets_rpc_path;
   tally.bg_timeouts = cluster.store->server_stats().bg_timeouts;
 
   std::string prefix = "fault/";

@@ -18,11 +18,10 @@
 //   trace_inspect timeline [--perfetto=<out.json>] <TELEM.json>
 //       Read a bench's TELEM_<figure>.json telemetry export
 //       (efac.telemetry.v1), print a per-snapshot summary table of every
-//       sampled series (kind, points, min/max/mean/last) plus recorded SLO
-//       violations, and optionally re-emit the series as Chrome/Perfetto
-//       counter tracks ("ph":"C") for timeline rendering in the UI.
+//       sampled series (kind, points, min/max/mean/last), and optionally
+//       re-emit the series as Chrome/Perfetto counter tracks ("ph":"C") for
+//       timeline rendering in the UI.
 #include <algorithm>
-#include <bit>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -133,11 +132,6 @@ std::string render_event(const EventLog::Snapshot& snap, const Event& ev,
       break;
     case EventType::kObjBind:
       os << " off=" << ev.a;
-      break;
-    case EventType::kSloViolation:
-      os << " rule=" << static_cast<int>(ev.aux)
-         << " value=" << std::bit_cast<double>(ev.a)
-         << " threshold=" << std::bit_cast<double>(ev.b);
       break;
     default:
       break;
@@ -472,15 +466,6 @@ int cmd_timeline(const char* path, const char* perfetto_out) {
            TextTable::num(series.points.back())});
     }
     table.print(std::cout);
-    for (const metrics::SloViolation& v : snap.violations) {
-      std::cout << "  SLO violation: " << v.rule << " — value " << v.value
-                << " vs threshold " << v.threshold << " at t=" << v.t_ns
-                << "ns\n";
-    }
-    if (snap.violations_dropped != 0) {
-      std::cout << "  (" << snap.violations_dropped
-                << " further violation(s) dropped)\n";
-    }
     std::cout << "\n";
   }
 

@@ -64,8 +64,8 @@ int main() {
   while (!done) sim.run_until(sim.now() + timeconst::kMillisecond);
 
   // 4. Observability: what did the protocol actually do?
-  const stores::ClientStats& cs = client->stats();
-  const stores::ServerStats& ss = store.server_stats();
+  const stores::KvClient::Counters& cs = client->stats();
+  const stores::StoreBase::Counters& ss = store.server_stats();
   std::printf("\nclient: %llu puts, %llu gets (%llu pure-RDMA, %llu RPC)\n",
               static_cast<unsigned long long>(cs.puts),
               static_cast<unsigned long long>(cs.gets),

@@ -12,8 +12,7 @@
 // each own (or borrow) one, which keeps per-component assertions exact and
 // lets benches run many clusters in one process. Registries compose with
 // merge_from(other, "prefix/"), which is how bench binaries fold per-run
-// registries into the process-wide export. A process-wide instance is
-// available via MetricsRegistry::global() for code with no natural owner.
+// registries into the process-wide export.
 //
 // Naming convention (see docs/OBSERVABILITY.md): dot-separated lowercase
 // within a component ("client.puts", "arena.flushes", "span.put.total");
@@ -117,9 +116,6 @@ class MetricsRegistry {
   [[nodiscard]] bool empty() const noexcept {
     return counters_.empty() && gauges_.empty() && histograms_.empty();
   }
-
-  /// Process-wide instance for code with no natural per-component owner.
-  static MetricsRegistry& global();
 
  private:
   // Cells live in deques (stable addresses); the maps index by name.

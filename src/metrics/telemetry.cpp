@@ -1,10 +1,8 @@
 #include "metrics/telemetry.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "common/assert.hpp"
 #include "common/json_reader.hpp"
@@ -16,32 +14,6 @@ namespace {
 using json::Parser;
 
 constexpr std::string_view kTelemetrySchema = "efac.telemetry.v1";
-
-/// Violations are bounded like the event ring: a pathological rule cannot
-/// grow a run's memory without bound, and the drop count is reported.
-constexpr std::size_t kMaxViolations = 256;
-
-// ------------------------------------------------------------ rule parsing
-
-void eat_ws(std::string_view& s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) {
-    s.remove_prefix(1);
-  }
-}
-
-bool ident_char(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '.' ||
-         c == '_' || c == '/' || c == '-';
-}
-
-std::string_view take_ident(std::string_view& s) {
-  eat_ws(s);
-  std::size_t n = 0;
-  while (n < s.size() && ident_char(s[n])) ++n;
-  const std::string_view out = s.substr(0, n);
-  s.remove_prefix(n);
-  return out;
-}
 
 // -------------------------------------------------------- JSON primitives
 // Same file-local writer helpers as metrics/json.cpp (deliberately static
@@ -89,88 +61,6 @@ void append_u64(std::string& out, std::uint64_t value) {
 
 }  // namespace
 
-// ------------------------------------------------------------------ rules
-
-Expected<SloRule> SloRule::parse(std::string_view text) {
-  SloRule rule;
-  rule.text = std::string{text};
-  const auto fail = [&rule](std::string_view why) {
-    return Status{StatusCode::kInvalidArgument,
-                  "bad SLO rule \"" + rule.text + "\": " + std::string{why}};
-  };
-
-  std::string_view s = text;
-  const std::string_view fn = take_ident(s);
-  if (fn == "rate") {
-    rule.fn = Fn::kRate;
-  } else if (fn == "gauge") {
-    rule.fn = Fn::kGauge;
-  } else if (fn == "slope") {
-    rule.fn = Fn::kSlope;
-  } else if (fn == "ratio") {
-    rule.fn = Fn::kRatio;
-  } else {
-    return fail("unknown function (want rate/gauge/slope/ratio)");
-  }
-
-  eat_ws(s);
-  if (s.empty() || s.front() != '(') return fail("expected '('");
-  s.remove_prefix(1);
-  rule.series = std::string{take_ident(s)};
-  if (rule.series.empty()) return fail("expected a series name");
-  eat_ws(s);
-  if (!s.empty() && s.front() == ',') {
-    s.remove_prefix(1);
-    rule.denominator = std::string{take_ident(s)};
-    if (rule.denominator.empty()) return fail("expected a second series name");
-  }
-  if (rule.fn == Fn::kRatio && rule.denominator.empty()) {
-    return fail("ratio() takes two series");
-  }
-  if (rule.fn != Fn::kRatio && !rule.denominator.empty()) {
-    return fail("only ratio() takes two series");
-  }
-  eat_ws(s);
-  if (s.empty() || s.front() != ')') return fail("expected ')'");
-  s.remove_prefix(1);
-
-  eat_ws(s);
-  if (s.empty() || (s.front() != '>' && s.front() != '<')) {
-    return fail("expected '>' or '<'");
-  }
-  rule.greater = s.front() == '>';
-  s.remove_prefix(1);
-
-  eat_ws(s);
-  {
-    const std::string rest{s};
-    char* end = nullptr;
-    rule.threshold = std::strtod(rest.c_str(), &end);
-    if (end == rest.c_str()) return fail("expected a threshold number");
-    s.remove_prefix(static_cast<std::size_t>(end - rest.c_str()));
-  }
-
-  rule.window = rule.fn == Fn::kSlope ? 2 : 1;
-  eat_ws(s);
-  if (!s.empty()) {
-    if (take_ident(s) != "over") return fail("trailing junk (want 'over N')");
-    const std::string_view count = take_ident(s);
-    if (count.empty() ||
-        count.find_first_not_of("0123456789") != std::string_view::npos) {
-      return fail("expected a sample count after 'over'");
-    }
-    rule.window = static_cast<std::size_t>(
-        std::strtoul(std::string{count}.c_str(), nullptr, 10));
-    if (rule.window == 0) return fail("window must be at least 1");
-    eat_ws(s);
-    if (!s.empty()) return fail("trailing junk after window");
-  }
-  if (rule.fn == Fn::kSlope && rule.window < 2) {
-    return fail("slope needs a window of at least 2");
-  }
-  return rule;
-}
-
 // ---------------------------------------------------------------- sampler
 
 TelemetrySampler::TelemetrySampler(sim::Simulator& sim,
@@ -178,16 +68,8 @@ TelemetrySampler::TelemetrySampler(sim::Simulator& sim,
                                    TelemetryOptions options)
     : sim_(sim),
       options_(std::move(options)),
-      samples_counter_(registry.counter("telemetry.samples")),
-      violations_counter_(registry.counter("telemetry.slo_violations")) {
-  if (options_.capacity == 0) options_.capacity = 1;
+      samples_counter_(registry.counter("telemetry.samples")) {
   if (options_.period_ns == 0) options_.period_ns = 1;
-  rules_.reserve(options_.slo_rules.size());
-  for (const std::string& text : options_.slo_rules) {
-    Expected<SloRule> parsed = SloRule::parse(text);
-    EFAC_CHECK_MSG(parsed.has_value(), parsed.status().to_string());
-    rules_.push_back(RuleState{std::move(parsed).take(), false});
-  }
 }
 
 TelemetrySampler::~TelemetrySampler() { *alive_ = false; }
@@ -225,8 +107,7 @@ TelemetrySampler::SeriesState& TelemetrySampler::series_for(
   SeriesState& s = series_.back();
   // Backfill so every series stays tick-aligned even when a source shows
   // up after sampling began (e.g. a client created mid-run).
-  const std::uint64_t have =
-      std::min<std::uint64_t>(samples_, options_.capacity);
+  const std::uint64_t have = std::min<std::uint64_t>(samples_, kCapacity);
   s.ring.assign(static_cast<std::size_t>(have), 0.0);
   return s;
 }
@@ -255,12 +136,11 @@ void TelemetrySampler::drop_sources(Owner owner) {
 }
 
 std::uint64_t TelemetrySampler::dropped() const noexcept {
-  return samples_ > options_.capacity ? samples_ - options_.capacity : 0;
+  return samples_ > kCapacity ? samples_ - kCapacity : 0;
 }
 
 void TelemetrySampler::sample_now() {
-  const std::uint64_t t = sim_.now();
-  if (samples_ == 0) first_tick_ns_ = t;
+  if (samples_ == 0) first_tick_ns_ = sim_.now();
   ++samples_;
   ++samples_counter_;
   for (SeriesState& s : series_) {
@@ -279,78 +159,7 @@ void TelemetrySampler::sample_now() {
       for (const GaugeProbe& g : s.gauges) point += g.probe();
     }
     s.ring.push_back(point);
-    if (s.ring.size() > options_.capacity) s.ring.pop_front();
-  }
-  evaluate_rules(t);
-}
-
-void TelemetrySampler::evaluate_rules(std::uint64_t t) {
-  for (std::size_t i = 0; i < rules_.size(); ++i) {
-    RuleState& state = rules_[i];
-    const SloRule& rule = state.rule;
-
-    const auto lookup = [this](const std::string& name) -> const SeriesState* {
-      const auto it = series_index_.find(options_.series_prefix + name);
-      return it == series_index_.end() ? nullptr : &series_[it->second];
-    };
-    const auto window_sum = [](const SeriesState& s, std::size_t w) {
-      double sum = 0.0;
-      for (std::size_t k = s.ring.size() - w; k < s.ring.size(); ++k) {
-        sum += s.ring[k];
-      }
-      return sum;
-    };
-
-    const SeriesState* primary = lookup(rule.series);
-    const std::size_t w = rule.window;
-    if (primary == nullptr || primary->ring.size() < w) {
-      state.active = false;
-      continue;
-    }
-
-    double value = 0.0;
-    switch (rule.fn) {
-      case SloRule::Fn::kRate:
-        value = window_sum(*primary, w) * 1e9 /
-                (static_cast<double>(w) *
-                 static_cast<double>(options_.period_ns));
-        break;
-      case SloRule::Fn::kGauge:
-        value = window_sum(*primary, w) / static_cast<double>(w);
-        break;
-      case SloRule::Fn::kSlope:
-        value = (primary->ring.back() - primary->ring[primary->ring.size() - w]) /
-                static_cast<double>(w - 1);
-        break;
-      case SloRule::Fn::kRatio: {
-        const SeriesState* denom = lookup(rule.denominator);
-        if (denom == nullptr || denom->ring.size() < w) {
-          state.active = false;
-          continue;
-        }
-        const double b = window_sum(*denom, w);
-        if (b == 0.0) {
-          state.active = false;
-          continue;
-        }
-        value = window_sum(*primary, w) / b;
-        break;
-      }
-    }
-
-    const bool tripped =
-        rule.greater ? value > rule.threshold : value < rule.threshold;
-    if (tripped && !state.active) {
-      ++violations_counter_;
-      const SloViolation v{rule.text, t, value, rule.threshold};
-      if (violations_.size() < kMaxViolations) {
-        violations_.push_back(v);
-      } else {
-        ++violations_dropped_;
-      }
-      if (hook_) hook_(v, i);
-    }
-    state.active = tripped;
+    if (s.ring.size() > kCapacity) s.ring.pop_front();
   }
 }
 
@@ -366,8 +175,6 @@ TelemetrySnapshot TelemetrySampler::snapshot(std::string label) const {
     snap.series.push_back(TelemetrySnapshot::Series{
         s.name, s.kind, {s.ring.begin(), s.ring.end()}});
   }
-  snap.violations = violations_;
-  snap.violations_dropped = violations_dropped_;
   return snap;
 }
 
@@ -413,24 +220,6 @@ std::string to_telemetry_json(const std::vector<TelemetrySnapshot>& snapshots,
       out += "]}";
     }
     out += first_series ? "}" : "\n      }";
-    out += ",\n      \"violations\": [";
-    bool first_violation = true;
-    for (const SloViolation& v : snap.violations) {
-      out += first_violation ? "\n        {" : ",\n        {";
-      first_violation = false;
-      out += "\"rule\": ";
-      append_escaped(out, v.rule);
-      out += ", \"t_ns\": ";
-      append_u64(out, v.t_ns);
-      out += ", \"value\": ";
-      append_double(out, v.value);
-      out += ", \"threshold\": ";
-      append_double(out, v.threshold);
-      out += "}";
-    }
-    out += first_violation ? "]" : "\n      ]";
-    out += ",\n      \"violations_dropped\": ";
-    append_u64(out, snap.violations_dropped);
     out += "\n    }";
   }
   out += first_snap ? "]" : "\n  ]";
@@ -455,52 +244,6 @@ bool parse_count(Parser& p, std::string_view what, std::uint64_t& out,
     return false;
   }
   out = static_cast<std::uint64_t>(num.value);
-  return true;
-}
-
-bool parse_violation(Parser& p, SloViolation& v, std::string& why) {
-  if (!p.expect('{')) {
-    why = "violation is not an object";
-    return false;
-  }
-  bool seen_rule = false;
-  bool seen_t = false;
-  bool seen_value = false;
-  bool seen_threshold = false;
-  if (!p.consume('}')) {
-    do {
-      const std::string key = p.parse_string();
-      if (!p.expect(':')) break;
-      if (key == "rule") {
-        v.rule = p.parse_string();
-        seen_rule = true;
-      } else if (key == "t_ns") {
-        if (!parse_count(p, "violation t_ns", v.t_ns, why)) return false;
-        seen_t = true;
-      } else if (key == "value") {
-        v.value = p.parse_number().value;
-        seen_value = true;
-      } else if (key == "threshold") {
-        v.threshold = p.parse_number().value;
-        seen_threshold = true;
-      } else {
-        p.skip_value();
-      }
-      if (p.failed()) break;
-    } while (p.consume(','));
-    if (!p.expect('}')) {
-      why = "violation object is malformed";
-      return false;
-    }
-  }
-  if (p.failed()) {
-    why = "violation parse error: " + p.error;
-    return false;
-  }
-  if (!seen_rule || !seen_t || !seen_value || !seen_threshold) {
-    why = "violation is missing a required field";
-    return false;
-  }
   return true;
 }
 
@@ -595,11 +338,6 @@ bool parse_snapshot(Parser& p, TelemetrySnapshot& snap, std::string& why) {
         seen_samples = true;
       } else if (key == "dropped") {
         if (!parse_count(p, "dropped", snap.dropped, why)) return false;
-      } else if (key == "violations_dropped") {
-        if (!parse_count(p, "violations_dropped", snap.violations_dropped,
-                         why)) {
-          return false;
-        }
       } else if (key == "series") {
         if (!p.expect('{')) {
           why = "series is not an object";
@@ -619,22 +357,6 @@ bool parse_snapshot(Parser& p, TelemetrySnapshot& snap, std::string& why) {
           }
         }
         seen_series = true;
-      } else if (key == "violations") {
-        if (!p.expect('[')) {
-          why = "violations is not an array";
-          return false;
-        }
-        if (!p.consume(']')) {
-          do {
-            SloViolation v;
-            if (!parse_violation(p, v, why)) return false;
-            snap.violations.push_back(std::move(v));
-          } while (p.consume(','));
-          if (!p.expect(']')) {
-            why = "violations array is malformed";
-            return false;
-          }
-        }
       } else {
         p.skip_value();
       }

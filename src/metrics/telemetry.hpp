@@ -1,4 +1,4 @@
-// Virtual-time telemetry: sampled instrument timelines + SLO watchdog.
+// Virtual-time telemetry: sampled instrument timelines.
 //
 // The registry (metrics.hpp) answers "how much, in total"; the flight
 // recorder (trace/event_log.hpp) answers "what happened to THIS op". This
@@ -14,19 +14,15 @@
 //   * gauge probes    — callbacks polled for an instantaneous value
 //     (queue depths, window occupancy, pool fill).
 //
-// On top of the series an SLO watchdog evaluates declarative rules (parsed
-// from strings; see SloRule::parse) after each sample and emits structured
-// violations into the registry ("telemetry.slo_violations"), an optional
-// hook (the store forwards it to the flight recorder as kSloViolation),
-// and the snapshot itself — which benches export as TELEM_<figure>.json
-// (schema efac.telemetry.v1) and fail on when run with --slo=.
+// Benches export the snapshots as TELEM_<figure>.json (schema
+// efac.telemetry.v1).
 //
 // Determinism contract (same as the fault injector / sanitizer / flight
 // recorder): disabled means no object, no simulator event, and one branch
 // per probe site — schedules and dispatch hashes are bit-identical to a
 // tree without the subsystem. Enabled, the sampler's periodic event is
 // part of the deterministic schedule, so for a fixed seed the sampled
-// series (and any violations) are themselves bit-reproducible.
+// series are themselves bit-reproducible.
 #pragma once
 
 #include <cstddef>
@@ -56,52 +52,6 @@ enum class SeriesKind : std::uint8_t {
   kGauge,  ///< instantaneous probe values
 };
 
-/// One declarative watchdog rule. Grammar (spaces optional):
-///
-///   rule  := fn '(' series [',' series] ')' op number ['over' window]
-///   fn    := 'rate'   — per-SECOND rate of a counter series over the
-///                       window (sum of deltas / window duration)
-///          | 'gauge'  — mean of a gauge series over the window
-///          | 'slope'  — per-sample slope of a series over the window
-///                       ((last - first) / (window - 1); window >= 2)
-///          | 'ratio'  — sum of deltas of series A / sum of deltas of
-///                       series B over the window (two arguments)
-///   op    := '>' | '<'
-///
-/// The window defaults to 1 sample (2 for slope). Series names are
-/// resolved against the sampler's registered series, after the sampler's
-/// series_prefix is applied — so `rate(client.retries) > 5e6` written once
-/// works unchanged inside an "s3/" shard.
-///
-/// Examples (the ISSUE's archetypes):
-///   slope(server.verify_queue_depth) > 4 over 16
-///   rate(client.retries) > 1e6
-///   ratio(read.adaptive.hedges_wasted, read.adaptive.hedges) > 0.5 over 32
-struct SloRule {
-  enum class Fn : std::uint8_t { kRate, kGauge, kSlope, kRatio };
-
-  Fn fn = Fn::kGauge;
-  std::string series;       ///< primary series (without prefix)
-  std::string denominator;  ///< second series; kRatio only
-  bool greater = true;      ///< '>' when true, '<' when false
-  double threshold = 0.0;
-  std::size_t window = 1;   ///< samples the function aggregates over
-  std::string text;         ///< original rule text (for reports/exports)
-
-  static Expected<SloRule> parse(std::string_view text);
-};
-
-/// A tripped rule, recorded edge-triggered: one violation when the
-/// condition first becomes true, re-armed once it clears.
-struct SloViolation {
-  std::string rule;   ///< original rule text
-  std::uint64_t t_ns = 0;  ///< virtual time of the violating sample
-  double value = 0.0;      ///< evaluated rule value at that sample
-  double threshold = 0.0;  ///< the rule's threshold
-
-  friend bool operator==(const SloViolation&, const SloViolation&) = default;
-};
-
 /// Point-in-time copy of a sampler's state; what benches serialize. The
 /// defaulted operator== lets tests pin bit-determinism across runs.
 struct TelemetrySnapshot {
@@ -119,8 +69,6 @@ struct TelemetrySnapshot {
   std::uint64_t samples = 0;    ///< total ticks taken (including dropped)
   std::uint64_t dropped = 0;    ///< ticks evicted from the rings
   std::vector<Series> series;
-  std::vector<SloViolation> violations;
-  std::uint64_t violations_dropped = 0;
 
   friend bool operator==(const TelemetrySnapshot&,
                          const TelemetrySnapshot&) = default;
@@ -135,13 +83,14 @@ class TelemetrySampler {
   /// Owner token for source registration; any stable pointer identifying
   /// the registering component (conventionally `this`).
   using Owner = const void*;
-  using ViolationHook =
-      std::function<void(const SloViolation&, std::size_t rule_index)>;
 
-  /// `registry` receives the sampler's own accounting counters
-  /// ("telemetry.samples", "telemetry.slo_violations"). Both references
-  /// must outlive the sampler. Invalid slo_rules abort (benches
-  /// pre-validate with SloRule::parse for a clean error path).
+  /// Ring capacity per series: only the most recent kCapacity samples are
+  /// retained; older points are dropped and accounted in dropped(). Large
+  /// enough to hold every point of the Fig. 2 bench at the default period.
+  static constexpr std::size_t kCapacity = 16384;
+
+  /// `registry` receives the sampler's own accounting counter
+  /// ("telemetry.samples"). Both references must outlive the sampler.
   TelemetrySampler(sim::Simulator& sim, MetricsRegistry& registry,
                    TelemetryOptions options);
   ~TelemetrySampler();
@@ -171,9 +120,6 @@ class TelemetrySampler {
   /// before the store MUST call this from their destructor.
   void drop_sources(Owner owner);
 
-  /// Called on every NEW violation (edge-triggered), after it is recorded.
-  void set_violation_hook(ViolationHook hook) { hook_ = std::move(hook); }
-
   /// Take one sample immediately (tests; the periodic event calls this).
   void sample_now();
 
@@ -182,14 +128,8 @@ class TelemetrySampler {
   }
   /// Ticks whose points have been evicted from every ring.
   [[nodiscard]] std::uint64_t dropped() const noexcept;
-  [[nodiscard]] const std::vector<SloViolation>& violations() const noexcept {
-    return violations_;
-  }
-  [[nodiscard]] const TelemetryOptions& options() const noexcept {
-    return options_;
-  }
 
-  /// Copy out the current series + violations under a bench-chosen label.
+  /// Copy out the current series under a bench-chosen label.
   [[nodiscard]] TelemetrySnapshot snapshot(std::string label = {}) const;
 
  private:
@@ -209,30 +149,20 @@ class TelemetrySampler {
     std::vector<CounterSource> counters;
     std::vector<GaugeProbe> gauges;
   };
-  struct RuleState {
-    SloRule rule;
-    bool active = false;  ///< condition held at the previous sample
-  };
 
   SeriesState& series_for(std::string_view name, SeriesKind kind);
   void arm();
-  void evaluate_rules(std::uint64_t t);
 
   sim::Simulator& sim_;
   TelemetryOptions options_;
   Counter& samples_counter_;
-  Counter& violations_counter_;
 
   // deque: SeriesState addresses stay stable as series are added.
   std::deque<SeriesState> series_;
   std::map<std::string, std::size_t, std::less<>> series_index_;
-  std::vector<RuleState> rules_;
-  std::vector<SloViolation> violations_;
-  std::uint64_t violations_dropped_ = 0;
   std::uint64_t samples_ = 0;
   std::uint64_t first_tick_ns_ = 0;
   bool started_ = false;
-  ViolationHook hook_;
   // Shared alive flag: the self-rescheduling simulator callback captures a
   // copy and checks it first, so destroying the sampler (or stop()) makes
   // any still-queued tick a no-op instead of a use-after-free.

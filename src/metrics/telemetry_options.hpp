@@ -5,9 +5,7 @@
 // translation unit that sizes a store.
 #pragma once
 
-#include <cstddef>
 #include <string>
-#include <vector>
 
 #include "common/types.hpp"
 
@@ -26,18 +24,9 @@ struct TelemetryOptions {
   /// points across a typical bench measurement window.
   SimDuration period_ns = 2 * timeconst::kMicrosecond;
 
-  /// Ring capacity per series: only the most recent `capacity` samples are
-  /// retained; older points are dropped and accounted in `dropped`.
-  std::size_t capacity = 4096;
-
   /// Prefix applied to every series name (sharded clusters use "s<i>/" so
   /// per-shard timelines stay distinguishable after aggregation).
   std::string series_prefix;
-
-  /// Declarative SLO watchdog rules evaluated after every sample; see
-  /// SloRule::parse for the grammar. Invalid rules fail sampler
-  /// construction loudly rather than silently not firing.
-  std::vector<std::string> slo_rules;
 };
 
 }  // namespace efac::metrics

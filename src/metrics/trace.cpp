@@ -5,7 +5,6 @@
 namespace efac::metrics {
 
 void Tracer::record(std::string_view name, SimDuration elapsed) {
-  if (!state_->enabled) return;
   record_into(*state_, name, elapsed);
 }
 

@@ -21,7 +21,7 @@
 // the tracer's state through a shared_ptr whose `alive` flag the Tracer
 // clears on destruction: closing a span after its tracer died is a no-op,
 // not a use-after-free. Span names must outlive the span (use string
-// literals). A disabled tracer makes spans free apart from a branch.
+// literals).
 #pragma once
 
 #include <memory>
@@ -35,16 +35,13 @@ namespace efac::metrics {
 
 class Tracer {
  public:
-  Tracer(sim::Simulator& sim, MetricsRegistry& registry, bool enabled = true)
-      : state_(std::make_shared<State>(sim, registry, enabled)) {}
+  Tracer(sim::Simulator& sim, MetricsRegistry& registry)
+      : state_(std::make_shared<State>(sim, registry)) {}
 
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
   ~Tracer() { state_->alive = false; }
-
-  [[nodiscard]] bool enabled() const noexcept { return state_->enabled; }
-  void set_enabled(bool enabled) noexcept { state_->enabled = enabled; }
 
   [[nodiscard]] sim::Simulator& simulator() const noexcept {
     return state_->sim;
@@ -60,11 +57,10 @@ class Tracer {
   /// Shared with every open Span. `alive` goes false when the Tracer (and
   /// therefore the registry/client it points into) is destroyed.
   struct State {
-    State(sim::Simulator& s, MetricsRegistry& r, bool e) noexcept
-        : sim(s), registry(r), enabled(e) {}
+    State(sim::Simulator& s, MetricsRegistry& r) noexcept
+        : sim(s), registry(r) {}
     sim::Simulator& sim;
     MetricsRegistry& registry;
-    bool enabled;
     bool alive = true;
   };
 
@@ -75,15 +71,12 @@ class Tracer {
 };
 
 /// RAII phase marker. Opens at construction (captures sim.now()), records
-/// on finish() or destruction. When the tracer is disabled the span is
-/// inert; when the tracer has been destroyed, closing is a no-op. Move-
-/// only; a moved-from span records nothing.
+/// on finish() or destruction. When the tracer has been destroyed,
+/// closing is a no-op. Move-only; a moved-from span records nothing.
 class Span {
  public:
   Span(Tracer& tracer, std::string_view name) noexcept
-      : state_(tracer.enabled() ? tracer.state_ : nullptr),
-        name_(name),
-        start_(tracer.enabled() ? tracer.now() : 0) {}
+      : state_(tracer.state_), name_(name), start_(tracer.now()) {}
 
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
@@ -100,7 +93,7 @@ class Span {
   /// Close the span now (idempotent); later destruction records nothing.
   void finish() {
     if (state_ == nullptr) return;
-    if (state_->alive && state_->enabled) {
+    if (state_->alive) {
       Tracer::record_into(*state_, name_, state_->sim.now() - start_);
     }
     state_ = nullptr;

@@ -75,22 +75,34 @@ struct CrashPolicy {
   double eviction_probability = 0.5;
 };
 
-/// Snapshot of the arena's counters (a view over the metrics registry;
-/// kept as a plain struct so existing call sites read fields directly).
-struct ArenaStats {
-  std::uint64_t cpu_stores = 0;
-  std::uint64_t cpu_store_bytes = 0;
-  std::uint64_t cpu_loads = 0;
-  std::uint64_t cpu_load_bytes = 0;
-  std::uint64_t flushes = 0;
-  std::uint64_t flushed_lines = 0;
-  std::uint64_t dma_writes = 0;
-  std::uint64_t dma_bytes = 0;
-  std::uint64_t crashes = 0;
-};
-
 class Arena {
  public:
+  /// The arena's counters ("arena.*"), resolved once at construction.
+  /// stats() hands out a read view; copy a value out before comparing it
+  /// with a later one.
+  struct Counters {
+    explicit Counters(metrics::MetricsRegistry& r)
+        : cpu_stores(r.counter("arena.cpu_stores")),
+          cpu_store_bytes(r.counter("arena.cpu_store_bytes")),
+          cpu_loads(r.counter("arena.cpu_loads")),
+          cpu_load_bytes(r.counter("arena.cpu_load_bytes")),
+          flushes(r.counter("arena.flushes")),
+          flushed_lines(r.counter("arena.flushed_lines")),
+          dma_writes(r.counter("arena.dma_writes")),
+          dma_bytes(r.counter("arena.dma_bytes")),
+          crashes(r.counter("arena.crashes")) {}
+    Counters(const Counters&) = delete;
+    metrics::Counter& cpu_stores;
+    metrics::Counter& cpu_store_bytes;
+    metrics::Counter& cpu_loads;
+    metrics::Counter& cpu_load_bytes;
+    metrics::Counter& flushes;
+    metrics::Counter& flushed_lines;
+    metrics::Counter& dma_writes;
+    metrics::Counter& dma_bytes;
+    metrics::Counter& crashes;
+  };
+
   static constexpr std::size_t kLine = sizeconst::kCacheLine;
   static constexpr std::size_t kAtomicUnit = 8;
 
@@ -103,13 +115,7 @@ class Arena {
 
   [[nodiscard]] std::size_t size() const noexcept { return current_.size(); }
   [[nodiscard]] const CostModel& cost() const noexcept { return cost_; }
-  [[nodiscard]] ArenaStats stats() const noexcept {
-    return ArenaStats{stats_.cpu_stores,   stats_.cpu_store_bytes,
-                      stats_.cpu_loads,    stats_.cpu_load_bytes,
-                      stats_.flushes,      stats_.flushed_lines,
-                      stats_.dma_writes,   stats_.dma_bytes,
-                      stats_.crashes};
-  }
+  [[nodiscard]] const Counters& stats() const noexcept { return stats_; }
   [[nodiscard]] metrics::MetricsRegistry& metrics() noexcept {
     return metrics_;
   }
@@ -178,30 +184,6 @@ class Arena {
   [[nodiscard]] Bytes persisted_bytes(MemOffset off, std::size_t len) const;
 
  private:
-  /// Registry-backed counters, resolved once at construction. Field names
-  /// mirror ArenaStats so increment sites read identically.
-  struct Counters {
-    explicit Counters(metrics::MetricsRegistry& r)
-        : cpu_stores(r.counter("arena.cpu_stores")),
-          cpu_store_bytes(r.counter("arena.cpu_store_bytes")),
-          cpu_loads(r.counter("arena.cpu_loads")),
-          cpu_load_bytes(r.counter("arena.cpu_load_bytes")),
-          flushes(r.counter("arena.flushes")),
-          flushed_lines(r.counter("arena.flushed_lines")),
-          dma_writes(r.counter("arena.dma_writes")),
-          dma_bytes(r.counter("arena.dma_bytes")),
-          crashes(r.counter("arena.crashes")) {}
-    metrics::Counter& cpu_stores;
-    metrics::Counter& cpu_store_bytes;
-    metrics::Counter& cpu_loads;
-    metrics::Counter& cpu_load_bytes;
-    metrics::Counter& flushes;
-    metrics::Counter& flushed_lines;
-    metrics::Counter& dma_writes;
-    metrics::Counter& dma_bytes;
-    metrics::Counter& crashes;
-  };
-
   struct Placement {
     MemOffset off;
     Bytes data;

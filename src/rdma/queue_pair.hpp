@@ -36,21 +36,34 @@
 
 namespace efac::rdma {
 
-/// Snapshot of a QP's verb counters (view over the metrics registry).
-struct QpStats {
-  std::uint64_t reads = 0;
-  std::uint64_t read_bytes = 0;
-  std::uint64_t writes = 0;
-  std::uint64_t write_bytes = 0;
-  std::uint64_t sends = 0;
-  std::uint64_t send_bytes = 0;
-  std::uint64_t writes_with_imm = 0;
-  std::uint64_t cas_ops = 0;
-  std::uint64_t commits = 0;
-};
-
 class QueuePair {
  public:
+  /// The QP's verb counters ("qp.*"), resolved once at construction.
+  /// stats() hands out a read view; copy a value out before comparing it
+  /// with a later one.
+  struct Counters {
+    explicit Counters(metrics::MetricsRegistry& r)
+        : reads(r.counter("qp.reads")),
+          read_bytes(r.counter("qp.read_bytes")),
+          writes(r.counter("qp.writes")),
+          write_bytes(r.counter("qp.write_bytes")),
+          sends(r.counter("qp.sends")),
+          send_bytes(r.counter("qp.send_bytes")),
+          writes_with_imm(r.counter("qp.writes_with_imm")),
+          cas_ops(r.counter("qp.cas_ops")),
+          commits(r.counter("qp.commits")) {}
+    Counters(const Counters&) = delete;
+    metrics::Counter& reads;
+    metrics::Counter& read_bytes;
+    metrics::Counter& writes;
+    metrics::Counter& write_bytes;
+    metrics::Counter& sends;
+    metrics::Counter& send_bytes;
+    metrics::Counter& writes_with_imm;
+    metrics::Counter& cas_ops;
+    metrics::Counter& commits;
+  };
+
   /// `registry` hosts the QP's counters (names "qp.*"); pass the owning
   /// client's registry so verb traffic lands next to client counters.
   /// nullptr → the QP owns a private registry. `recorder` (optional) is a
@@ -74,13 +87,7 @@ class QueuePair {
   QueuePair& operator=(const QueuePair&) = delete;
 
   [[nodiscard]] std::uint64_t id() const noexcept { return id_; }
-  [[nodiscard]] QpStats stats() const noexcept {
-    return QpStats{stats_.reads,           stats_.read_bytes,
-                   stats_.writes,          stats_.write_bytes,
-                   stats_.sends,           stats_.send_bytes,
-                   stats_.writes_with_imm, stats_.cas_ops,
-                   stats_.commits};
-  }
+  [[nodiscard]] const Counters& stats() const noexcept { return stats_; }
   [[nodiscard]] metrics::MetricsRegistry& metrics() noexcept {
     return metrics_;
   }
@@ -175,30 +182,6 @@ class QueuePair {
                                 std::size_t length);
 
  private:
-  /// Registry-backed counters; field names mirror QpStats so increment
-  /// sites read identically.
-  struct Counters {
-    explicit Counters(metrics::MetricsRegistry& r)
-        : reads(r.counter("qp.reads")),
-          read_bytes(r.counter("qp.read_bytes")),
-          writes(r.counter("qp.writes")),
-          write_bytes(r.counter("qp.write_bytes")),
-          sends(r.counter("qp.sends")),
-          send_bytes(r.counter("qp.send_bytes")),
-          writes_with_imm(r.counter("qp.writes_with_imm")),
-          cas_ops(r.counter("qp.cas_ops")),
-          commits(r.counter("qp.commits")) {}
-    metrics::Counter& reads;
-    metrics::Counter& read_bytes;
-    metrics::Counter& writes;
-    metrics::Counter& write_bytes;
-    metrics::Counter& sends;
-    metrics::Counter& send_bytes;
-    metrics::Counter& writes_with_imm;
-    metrics::Counter& cas_ops;
-    metrics::Counter& commits;
-  };
-
   struct Timing {
     SimTime depart;        ///< payload starts on the wire
     SimTime arrive;        ///< executed at the responder

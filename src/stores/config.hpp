@@ -105,8 +105,8 @@ struct StoreConfig {
   /// Flight recorder (default: disabled = no event log; every emission
   /// site reduces to one pointer test and the schedule is untouched).
   trace::TraceOptions trace;
-  /// Telemetry sampler + SLO watchdog (default: disabled = no sampler, no
-  /// periodic event; every probe site reduces to one pointer test).
+  /// Telemetry sampler (default: disabled = no sampler, no periodic
+  /// event; every probe site reduces to one pointer test).
   metrics::TelemetryOptions telemetry;
   std::uint64_t seed = 0xEFAC;
 

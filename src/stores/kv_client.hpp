@@ -89,8 +89,6 @@ struct SizeHint {
 /// parameters.
 struct ClientOptions {
   ReadMode read_mode = ReadMode::kDefault;
-  /// Record per-phase span histograms on this client's tracer.
-  bool collect_traces = true;
   /// Retry/backoff behaviour of the public operations. The default
   /// (single attempt, no RPC timeout) is a pass-through.
   RetryPolicy retry;
@@ -116,29 +114,42 @@ struct ClusterWiring {
   metrics::TelemetrySampler* telemetry = nullptr;  ///< sampler (optional)
 };
 
-/// Snapshot of a client's operation counters (view over the registry).
-struct ClientStats {
-  std::uint64_t puts = 0;
-  std::uint64_t gets = 0;
-  /// GETs resolved purely with one-sided reads (no server involvement).
-  std::uint64_t gets_pure_rdma = 0;
-  /// GETs that needed the RPC+RDMA fallback (flag unset, entry miss,
-  /// log cleaning in progress, or the system always uses RPC reads).
-  std::uint64_t gets_rpc_path = 0;
-  /// Client-side re-reads of an older version (Erda CRC failure path).
-  std::uint64_t version_rereads = 0;
-  /// Client-side CRC verifications performed (Erda read path).
-  std::uint64_t client_crc_checks = 0;
-  /// Attempts beyond the first made by the retry engine.
-  std::uint64_t retries = 0;
-  /// Operations abandoned after exhausting the retry budget.
-  std::uint64_t giveups = 0;
-  /// put_batch/get_batch submissions (batches, not member ops).
-  std::uint64_t batches = 0;
-};
-
 class KvClient {
  public:
+  /// The client's operation counters ("client.*"), resolved once in its
+  /// registry. stats() hands out a read view; copy a value out before
+  /// comparing it with a later one.
+  struct Counters {
+    explicit Counters(metrics::MetricsRegistry& r)
+        : puts(r.counter("client.puts")),
+          gets(r.counter("client.gets")),
+          gets_pure_rdma(r.counter("client.gets_pure_rdma")),
+          gets_rpc_path(r.counter("client.gets_rpc_path")),
+          version_rereads(r.counter("client.version_rereads")),
+          client_crc_checks(r.counter("client.client_crc_checks")),
+          retries(r.counter("client.retries")),
+          giveups(r.counter("client.giveups")),
+          batches(r.counter("client.batches")) {}
+    Counters(const Counters&) = delete;
+    metrics::Counter& puts;
+    metrics::Counter& gets;
+    /// GETs resolved purely with one-sided reads (no server involvement).
+    metrics::Counter& gets_pure_rdma;
+    /// GETs that needed the RPC+RDMA fallback (flag unset, entry miss,
+    /// log cleaning in progress, or the system always uses RPC reads).
+    metrics::Counter& gets_rpc_path;
+    /// Client-side re-reads of an older version (Erda CRC failure path).
+    metrics::Counter& version_rereads;
+    /// Client-side CRC verifications performed (Erda read path).
+    metrics::Counter& client_crc_checks;
+    /// Attempts beyond the first made by the retry engine.
+    metrics::Counter& retries;
+    /// Operations abandoned after exhausting the retry budget.
+    metrics::Counter& giveups;
+    /// put_batch/get_batch submissions (batches, not member ops).
+    metrics::Counter& batches;
+  };
+
   // Clients are destroyed before the store (and thus before the sampler)
   // by every harness convention; withdrawing the probes here keeps the
   // sampler from polling freed state in between.
@@ -349,21 +360,16 @@ class KvClient {
 
   // ---- configuration / wiring -------------------------------------------
 
-  /// Virtual so routing wrappers (ShardedKvClient) can aggregate their
-  /// per-shard protocol clients into one view.
-  [[nodiscard]] virtual ClientStats stats() const noexcept {
-    return ClientStats{stats_.puts,          stats_.gets,
-                       stats_.gets_pure_rdma, stats_.gets_rpc_path,
-                       stats_.version_rereads, stats_.client_crc_checks,
-                       stats_.retries,        stats_.giveups,
-                       stats_.batches};
-  }
+  /// This client's own counters. A routing wrapper (ShardedKvClient)
+  /// counts only its engine's retries, giveups and batches here; its
+  /// per-shard protocol clients count the attempts, and
+  /// merge_metrics_into() sums all of them.
+  [[nodiscard]] const Counters& stats() const noexcept { return stats_; }
 
   /// Merge this client's registry (client.*/qp.*/span.* instruments) into
-  /// `into` under `prefix`. Virtual for the same reason as stats(): a
-  /// routing wrapper owns one registry per shard and must contribute all
-  /// of them, so harnesses call this instead of merging metrics()
-  /// directly.
+  /// `into` under `prefix`. Virtual because a routing wrapper owns one
+  /// registry per shard and must contribute all of them, so harnesses
+  /// call this instead of merging metrics() directly.
   virtual void merge_metrics_into(metrics::MetricsRegistry& into,
                                   std::string_view prefix) const {
     into.merge_from(metrics_, prefix);
@@ -439,7 +445,6 @@ class KvClient {
         vlen_hint_(options.size_hint.vlen),
         sim_(sim),
         options_(options),
-        tracer_(sim, metrics_, options.collect_traces),
         window_(sim, std::max<std::size_t>(std::size_t{1},
                                            options.max_inflight)) {}
 
@@ -473,30 +478,6 @@ class KvClient {
     }
     co_return out;
   }
-
-  /// Registry-backed counters; field names mirror ClientStats so existing
-  /// `++stats_.gets` sites read identically.
-  struct Counters {
-    explicit Counters(metrics::MetricsRegistry& r)
-        : puts(r.counter("client.puts")),
-          gets(r.counter("client.gets")),
-          gets_pure_rdma(r.counter("client.gets_pure_rdma")),
-          gets_rpc_path(r.counter("client.gets_rpc_path")),
-          version_rereads(r.counter("client.version_rereads")),
-          client_crc_checks(r.counter("client.client_crc_checks")),
-          retries(r.counter("client.retries")),
-          giveups(r.counter("client.giveups")),
-          batches(r.counter("client.batches")) {}
-    metrics::Counter& puts;
-    metrics::Counter& gets;
-    metrics::Counter& gets_pure_rdma;
-    metrics::Counter& gets_rpc_path;
-    metrics::Counter& version_rereads;
-    metrics::Counter& client_crc_checks;
-    metrics::Counter& retries;
-    metrics::Counter& giveups;
-    metrics::Counter& batches;
-  };
 
   /// Enter this client's clock domain, labelling the operation for
   /// reports. Set-only: event attribution keeps the actor current across
@@ -688,7 +669,7 @@ class KvClient {
   ClientOptions options_;
   metrics::MetricsRegistry metrics_;
   Counters stats_{metrics_};
-  metrics::Tracer tracer_;
+  metrics::Tracer tracer_{sim_, metrics_};
   /// Flight-recorder handle; detached (one-branch no-op) unless the
   /// cluster was built with tracing on and the client was attach()ed.
   /// Subclass QPs/Connections borrow &recorder_ so their verb events carry

@@ -134,25 +134,6 @@ ShardedKvClient::ShardedKvClient(
                  "ring and shard-client count disagree");
 }
 
-ClientStats ShardedKvClient::stats() const noexcept {
-  // The wrapper's engine owns retries/giveups/batches; the per-shard
-  // protocol clients count the attempts (puts/gets/path breakdown).
-  ClientStats total = KvClient::stats();
-  for (const std::unique_ptr<KvClient>& client : inner_) {
-    const ClientStats s = client->stats();
-    total.puts += s.puts;
-    total.gets += s.gets;
-    total.gets_pure_rdma += s.gets_pure_rdma;
-    total.gets_rpc_path += s.gets_rpc_path;
-    total.version_rereads += s.version_rereads;
-    total.client_crc_checks += s.client_crc_checks;
-    total.retries += s.retries;
-    total.giveups += s.giveups;
-    total.batches += s.batches;
-  }
-  return total;
-}
-
 void ShardedKvClient::merge_metrics_into(metrics::MetricsRegistry& into,
                                          std::string_view prefix) const {
   KvClient::merge_metrics_into(into, prefix);

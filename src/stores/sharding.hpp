@@ -145,11 +145,6 @@ class ShardedKvClient final : public KvClient {
                   ShardRing ring,
                   std::vector<std::unique_ptr<KvClient>> shard_clients);
 
-  /// Aggregated over the per-shard protocol clients (which count the
-  /// attempts) plus this wrapper's own engine counters (retries, giveups,
-  /// batches).
-  [[nodiscard]] ClientStats stats() const noexcept override;
-
   /// Merges the wrapper's registry AND every shard client's registry (all
   /// under the same prefix), so per-shard qp.*/span.* instruments
   /// aggregate exactly like an unsharded client's would.

@@ -1,7 +1,5 @@
 #include "stores/store_base.hpp"
 
-#include <bit>
-
 #include "common/assert.hpp"
 #include "common/bytes.hpp"
 
@@ -43,9 +41,8 @@ StoreBase::StoreBase(sim::Simulator& sim, StoreConfig config,
   }
 
   // The telemetry sampler registers a periodic simulator event only once
-  // start() arms it; construction here just wires sources and (optionally)
-  // a flight-recorder track for SLO violations. Disabled = null pointer,
-  // exactly like the checker and the event log above.
+  // start() arms it; construction here just wires sources. Disabled = null
+  // pointer, exactly like the checker and the event log above.
   if (config_.telemetry.enabled) {
     telemetry_ = std::make_unique<metrics::TelemetrySampler>(
         sim_, metrics_, config_.telemetry);
@@ -53,16 +50,6 @@ StoreBase::StoreBase(sim::Simulator& sim, StoreConfig config,
     telemetry_->add_counter_source(this, "server.persists", stats_.persists);
     telemetry_->add_counter_source(this, "server.bg_verified",
                                    stats_.bg_verified);
-    if (trace_log_ != nullptr) {
-      telemetry_rec_.attach(trace_log_.get(), "telemetry");
-      telemetry_->set_violation_hook(
-          [this](const metrics::SloViolation& v, std::size_t rule_index) {
-            telemetry_rec_.emit(trace::EventType::kSloViolation,
-                                static_cast<std::uint8_t>(rule_index),
-                                std::bit_cast<std::uint64_t>(v.value),
-                                std::bit_cast<std::uint64_t>(v.threshold));
-          });
-    }
   }
 
   arena_ = std::make_unique<nvm::Arena>(sim_, arena_size, config_.nvm,

@@ -40,19 +40,6 @@
 
 namespace efac::stores {
 
-/// Snapshot of a store's server-side counters (view over the registry).
-struct ServerStats {
-  std::uint64_t requests = 0;
-  std::uint64_t allocs = 0;
-  std::uint64_t persists = 0;          ///< explicit flush operations
-  std::uint64_t crc_checks = 0;        ///< server-side verifications
-  std::uint64_t bg_verified = 0;       ///< background thread: objects flagged
-  std::uint64_t bg_timeouts = 0;       ///< background thread: invalidated
-  std::uint64_t get_durability_hits = 0;  ///< RPC GET found flag already set
-  std::uint64_t cleanings = 0;         ///< completed log-cleaning rounds
-  std::uint64_t cleaned_objects = 0;   ///< objects migrated by cleaning
-};
-
 /// Durability-lint over an object's recovery-meaningful bytes: the span
 /// starting at `off` (header + key + value, optionally the flag word),
 /// minus the advisory next_ptr word. Linking a newer version rewrites the
@@ -71,6 +58,32 @@ inline void assert_object_durable(analysis::Checker* checker, MemOffset off,
 
 class StoreBase {
  public:
+  /// The server-side counters ("server.*"), resolved once in the store's
+  /// registry. server_stats() hands out a read view; copy a value out
+  /// before comparing it with a later one.
+  struct Counters {
+    explicit Counters(metrics::MetricsRegistry& r)
+        : requests(r.counter("server.requests")),
+          allocs(r.counter("server.allocs")),
+          persists(r.counter("server.persists")),
+          crc_checks(r.counter("server.crc_checks")),
+          bg_verified(r.counter("server.bg_verified")),
+          bg_timeouts(r.counter("server.bg_timeouts")),
+          get_durability_hits(r.counter("server.get_durability_hits")),
+          cleanings(r.counter("server.cleanings")),
+          cleaned_objects(r.counter("server.cleaned_objects")) {}
+    Counters(const Counters&) = delete;
+    metrics::Counter& requests;
+    metrics::Counter& allocs;
+    metrics::Counter& persists;             ///< explicit flush operations
+    metrics::Counter& crc_checks;           ///< server-side verifications
+    metrics::Counter& bg_verified;          ///< background thread: flagged
+    metrics::Counter& bg_timeouts;          ///< background thread: invalidated
+    metrics::Counter& get_durability_hits;  ///< RPC GET found flag set
+    metrics::Counter& cleanings;            ///< completed log-cleaning rounds
+    metrics::Counter& cleaned_objects;      ///< objects migrated by cleaning
+  };
+
   StoreBase(sim::Simulator& sim, StoreConfig config,
             std::size_t hash_region_bytes);
   virtual ~StoreBase() = default;
@@ -104,12 +117,8 @@ class StoreBase {
   [[nodiscard]] rdma::Node& node() noexcept { return *node_; }
   [[nodiscard]] rpc::Directory& directory() noexcept { return directory_; }
   [[nodiscard]] const StoreConfig& config() const noexcept { return config_; }
-  [[nodiscard]] ServerStats server_stats() const noexcept {
-    return ServerStats{stats_.requests,   stats_.allocs,
-                       stats_.persists,   stats_.crc_checks,
-                       stats_.bg_verified, stats_.bg_timeouts,
-                       stats_.get_durability_hits, stats_.cleanings,
-                       stats_.cleaned_objects};
+  [[nodiscard]] const Counters& server_stats() const noexcept {
+    return stats_;
   }
   /// Cluster-side registry: server counters ("server.*"), arena counters
   /// ("arena.*") and server-side span histograms ("span.server.*").
@@ -172,30 +181,6 @@ class StoreBase {
   [[nodiscard]] bool header_readable(MemOffset off) const;
 
  protected:
-  /// Registry-backed counters; field names mirror ServerStats so existing
-  /// `++stats_.requests` sites read identically.
-  struct Counters {
-    explicit Counters(metrics::MetricsRegistry& r)
-        : requests(r.counter("server.requests")),
-          allocs(r.counter("server.allocs")),
-          persists(r.counter("server.persists")),
-          crc_checks(r.counter("server.crc_checks")),
-          bg_verified(r.counter("server.bg_verified")),
-          bg_timeouts(r.counter("server.bg_timeouts")),
-          get_durability_hits(r.counter("server.get_durability_hits")),
-          cleanings(r.counter("server.cleanings")),
-          cleaned_objects(r.counter("server.cleaned_objects")) {}
-    metrics::Counter& requests;
-    metrics::Counter& allocs;
-    metrics::Counter& persists;
-    metrics::Counter& crc_checks;
-    metrics::Counter& bg_verified;
-    metrics::Counter& bg_timeouts;
-    metrics::Counter& get_durability_hits;
-    metrics::Counter& cleanings;
-    metrics::Counter& cleaned_objects;
-  };
-
   /// Dispatch one inbound message (request or IMM notification).
   virtual sim::Task<void> handle(rdma::InboundMessage msg) = 0;
 
@@ -234,10 +219,8 @@ class StoreBase {
   std::unique_ptr<trace::EventLog> trace_log_;
   trace::Recorder server_rec_;
   trace::Recorder fault_rec_;
-  // telemetry_ must follow metrics_ (its accounting counters live there)
-  // and trace_log_ (the violation hook emits through telemetry_rec_).
+  // telemetry_ must follow metrics_ (its accounting counter lives there).
   std::unique_ptr<metrics::TelemetrySampler> telemetry_;
-  trace::Recorder telemetry_rec_;
   std::unique_ptr<nvm::Arena> arena_;
   rdma::Fabric fabric_;
   std::unique_ptr<rdma::Node> node_;

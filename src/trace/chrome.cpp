@@ -1,7 +1,5 @@
 #include "trace/chrome.hpp"
 
-#include <bit>
-#include <cmath>
 #include <cstdio>
 #include <map>
 #include <ostream>
@@ -38,14 +36,6 @@ void append_escaped(std::string& out, std::string_view text) {
     }
   }
   out += '"';
-}
-
-/// Finite double for an args value (%.9g matches the bench exporter).
-void append_double_arg(std::string& out, double value) {
-  if (!std::isfinite(value)) value = 0.0;
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.9g", value);
-  out += buf;
 }
 
 /// Virtual ns → trace-event µs, with enough digits to keep ns resolution.
@@ -196,18 +186,6 @@ void append_snapshot(std::string& out, const EventLog::Snapshot& snap,
                      : "?");
         out += ", \"op\": ";
         out += std::to_string(e.op);
-        out += "}";
-        w.close();
-        break;
-      }
-      case EventType::kSloViolation: {
-        w.open("i", "slo_violation", "telemetry", pid, tid, e.t);
-        out += ", \"s\": \"t\", \"args\": {\"rule\": ";
-        out += std::to_string(e.aux);
-        out += ", \"value\": ";
-        append_double_arg(out, std::bit_cast<double>(e.a));
-        out += ", \"threshold\": ";
-        append_double_arg(out, std::bit_cast<double>(e.b));
         out += "}";
         w.close();
         break;

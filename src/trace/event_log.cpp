@@ -7,7 +7,6 @@ const char* const kEventNames[static_cast<std::size_t>(EventType::kCount)] = {
     "qp_verb",      "vf_scan",  "vf_flush",  "flag_set",
     "vf_timeout",   "gc_copy",  "gc_switch", "retry",
     "backoff",      "fault",    "get_path",  "obj_bind",
-    "slo_violation",
 };
 
 const char* const kOpKindNames[3] = {"PUT", "GET", "DEL"};

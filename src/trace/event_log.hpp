@@ -48,8 +48,6 @@ enum class EventType : std::uint8_t {
   kFault,         ///< fault injector fired; aux=site, a=occurrence index
   kGetPath,       ///< GET path resolution; aux=GetPath
   kObjBind,       ///< client learned its op's object offset; a=object off
-  kSloViolation,  ///< SLO watchdog rule tripped; aux=rule index,
-                  ///< a=bit_cast<u64>(value), b=bit_cast<u64>(threshold)
   kCount
 };
 

@@ -161,6 +161,11 @@ RunResult run_workload_impl(sim::Simulator& sim, const ClusterView& cluster,
 
   Workload workload{options.workload};
   cluster.start();
+  // Loaders and measured clients share one template; only the measured
+  // clients' registries reach the result.
+  stores::ClientOptions client_options = options.client;
+  client_options.size_hint = {options.workload.key_len,
+                              options.workload.value_len};
 
   // ---- phase 1: load --------------------------------------------------
   {
@@ -168,12 +173,8 @@ RunResult run_workload_impl(sim::Simulator& sim, const ClusterView& cluster,
     std::vector<std::unique_ptr<KvClient>> loader_clients;
     std::size_t remaining = loaders;
     const std::uint64_t keys = options.workload.key_count;
-    stores::ClientOptions loader_options = options.client;
-    loader_options.collect_traces = false;  // setup traffic, not measured
-    loader_options.size_hint = {options.workload.key_len,
-                                options.workload.value_len};
     for (std::size_t l = 0; l < loaders; ++l) {
-      loader_clients.push_back(cluster.make_client(loader_options));
+      loader_clients.push_back(cluster.make_client(client_options));
       const std::uint64_t begin = keys * l / loaders;
       const std::uint64_t end = keys * (l + 1) / loaders;
       sim.spawn(loader_loop(*loader_clients.back(), workload, begin, end,
@@ -206,11 +207,8 @@ RunResult run_workload_impl(sim::Simulator& sim, const ClusterView& cluster,
   Rng seeder{options.workload.seed ^ 0xC11E27};
   std::vector<std::unique_ptr<KvClient>> clients;
   clients.reserve(options.clients);
-  stores::ClientOptions measured_options = options.client;
-  measured_options.size_hint = {options.workload.key_len,
-                                options.workload.value_len};
   for (std::size_t c = 0; c < options.clients; ++c) {
-    clients.push_back(cluster.make_client(measured_options));
+    clients.push_back(cluster.make_client(client_options));
     if (options.batch > 1) {
       sim.spawn(client_loop_batched(sim, *clients.back(), shared,
                                     seeder.fork(), c, options.ops_per_client,
@@ -228,13 +226,6 @@ RunResult run_workload_impl(sim::Simulator& sim, const ClusterView& cluster,
                   static_cast<double>(result.span_ns);
   }
   for (const auto& client : clients) {
-    const stores::ClientStats s = client->stats();
-    result.client_stats.puts += s.puts;
-    result.client_stats.gets += s.gets;
-    result.client_stats.gets_pure_rdma += s.gets_pure_rdma;
-    result.client_stats.gets_rpc_path += s.gets_rpc_path;
-    result.client_stats.version_rereads += s.version_rereads;
-    result.client_stats.client_crc_checks += s.client_crc_checks;
     // Measured clients pool their counters and span histograms; the
     // per-client registries use identical names, so merging aggregates.
     // (Routed sharded clients contribute every shard client's registry.)

@@ -38,11 +38,10 @@ struct RunOptions {
   /// sweeps stay bit-identical.
   std::size_t batch = 1;
   /// Template for every client the harness creates (loaders and measured
-  /// alike); the harness overrides collect_traces for loaders and
-  /// size_hint for everyone from the workload shape. Lets sweeps turn on
-  /// per-client features — adaptive reads, retry policies — without a
-  /// parallel plumbing path. The default keeps runs bit-identical to the
-  /// pre-template harness.
+  /// alike); the harness overrides size_hint from the workload shape. Lets
+  /// sweeps turn on per-client features — adaptive reads, retry policies —
+  /// without a parallel plumbing path. The default keeps runs
+  /// bit-identical to the pre-template harness.
   stores::ClientOptions client;
   /// Virtual-time telemetry sampler configuration, copied verbatim into
   /// the store config by sized_store_config(). Disabled (the default)
@@ -61,10 +60,9 @@ struct RunResult {
   Histogram put_latency;        ///< ns
   Histogram get_latency;        ///< ns
   Histogram op_latency;         ///< ns, both op types
-  stores::ClientStats client_stats;  ///< summed over clients
   /// Merged registry: the store's server-side metrics plus every MEASURED
-  /// client's counters and span histograms (loaders excluded — their
-  /// traffic is setup, not measurement).
+  /// client's counters and span histograms, summed over clients (loaders
+  /// excluded — their traffic is setup, not measurement).
   metrics::MetricsRegistry metrics;
 
   [[nodiscard]] double mean_latency_us() const {

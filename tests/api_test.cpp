@@ -116,28 +116,13 @@ TEST(ClientOptionsApi, NoHrClusterHonoursAnExplicitHybridRequest) {
   EXPECT_EQ(client->stats().gets_pure_rdma, 1u);
 }
 
-TEST(ClientOptionsApi, TracesOnByDefaultAndOffWhenDisabled) {
+TEST(ClientOptionsApi, SpansRecordWithDefaultOptions) {
   testutil::TestCluster tc{SystemKind::kErda,
                            testutil::small_config(), testutil::hinted(1, 64)};
   ASSERT_TRUE(tc.put_sync(Bytes{'k'}, testutil::make_value(64, 1)).is_ok());
   ASSERT_TRUE(tc.get_sync(Bytes{'k'}).has_value());
   EXPECT_NE(tc.client->metrics().find_histogram("span.put.total"), nullptr);
   EXPECT_NE(tc.client->metrics().find_histogram("span.get.total"), nullptr);
-
-  ClientOptions quiet;
-  quiet.collect_traces = false;
-  quiet.size_hint = {1, 64};
-  auto silent = tc.cluster.make_client(quiet);
-  ASSERT_TRUE(
-      tc.put_sync(*silent, Bytes{'q'}, testutil::make_value(64, 2)).is_ok());
-  ASSERT_TRUE(tc.get_sync(*silent, Bytes{'q'}).has_value());
-  for (const auto& h : silent->metrics().histograms()) {
-    EXPECT_NE(h.name.rfind("span.", 0), 0u)
-        << "untraced client recorded span " << h.name;
-  }
-  // Counters still work with tracing off.
-  EXPECT_EQ(silent->stats().puts, 1u);
-  EXPECT_EQ(silent->stats().gets, 1u);
 }
 
 // -------------------------------------------------------- arena sizing
@@ -191,18 +176,15 @@ TEST(CounterInvariant, GetsPartitionIntoPureRdmaAndRpcPerSystem) {
 
     EXPECT_EQ(result.put_failures, 0u) << to_string(kind);
     EXPECT_EQ(result.get_failures, 0u) << to_string(kind);
-    EXPECT_EQ(result.client_stats.gets,
-              result.client_stats.gets_pure_rdma +
-                  result.client_stats.gets_rpc_path)
+    // The merged registry sums the measured clients' counters.
+    const auto counter = [&result](std::string_view name) {
+      return testutil::counter(result.metrics, name);
+    };
+    EXPECT_EQ(counter("client.gets"), counter("client.gets_pure_rdma") +
+                                          counter("client.gets_rpc_path"))
         << to_string(kind);
-    EXPECT_EQ(result.client_stats.puts + result.client_stats.gets,
-              result.ops)
+    EXPECT_EQ(counter("client.puts") + counter("client.gets"), result.ops)
         << to_string(kind);
-    // The merged registry agrees with the summed per-client views.
-    const metrics::Counter* gets =
-        result.metrics.find_counter("client.gets");
-    ASSERT_NE(gets, nullptr) << to_string(kind);
-    EXPECT_EQ(gets->value(), result.client_stats.gets) << to_string(kind);
   }
 }
 
@@ -223,11 +205,13 @@ TEST(CounterInvariant, RunResultCarriesSpanHistograms) {
   const Histogram* get_total =
       result.metrics.find_histogram("span.get.total");
   ASSERT_NE(get_total, nullptr);
-  EXPECT_EQ(get_total->count(), result.client_stats.gets);
+  EXPECT_EQ(get_total->count(),
+            testutil::counter(result.metrics, "client.gets"));
   const Histogram* put_total =
       result.metrics.find_histogram("span.put.total");
   ASSERT_NE(put_total, nullptr);
-  EXPECT_EQ(put_total->count(), result.client_stats.puts);
+  EXPECT_EQ(put_total->count(),
+            testutil::counter(result.metrics, "client.puts"));
 }
 
 }  // namespace

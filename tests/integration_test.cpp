@@ -12,6 +12,7 @@ namespace {
 
 using stores::Cluster;
 using stores::SystemKind;
+using testutil::counter;
 
 RunOptions small_run(Mix mix, std::size_t value_len = 512) {
   RunOptions options;
@@ -36,6 +37,12 @@ RunResult run_one(SystemKind kind, const RunOptions& options,
   // destroy the simulator first.
   sim.reset();
   return result;
+}
+
+/// Share of the run's GETs that were pure one-sided reads.
+double pure_fraction(const RunResult& result) {
+  return static_cast<double>(counter(result.metrics, "client.gets_pure_rdma")) /
+         static_cast<double>(counter(result.metrics, "client.gets"));
 }
 
 // ----------------------------------------------------- per-system smoke
@@ -86,11 +93,8 @@ TEST_P(AllSystemsYcsb, CompletesWithoutReadFailures) {
 TEST(IntegrationEFactory, ReadOnlyIsOverwhelminglyPureRdma) {
   const RunResult result =
       run_one(SystemKind::kEFactory, small_run(Mix::kReadOnly));
-  ASSERT_GT(result.client_stats.gets, 0u);
-  const double pure_fraction =
-      static_cast<double>(result.client_stats.gets_pure_rdma) /
-      static_cast<double>(result.client_stats.gets);
-  EXPECT_GT(pure_fraction, 0.95);
+  ASSERT_GT(counter(result.metrics, "client.gets"), 0u);
+  EXPECT_GT(pure_fraction(result), 0.95);
 }
 
 TEST(IntegrationEFactory, WriteHeavyMixStillMostlyPureReads) {
@@ -98,31 +102,31 @@ TEST(IntegrationEFactory, WriteHeavyMixStillMostlyPureReads) {
   // dominates (the paper's premise for the hybrid read paying off).
   const RunResult result =
       run_one(SystemKind::kEFactory, small_run(Mix::kWriteIntensive));
-  ASSERT_GT(result.client_stats.gets, 0u);
-  const double pure_fraction =
-      static_cast<double>(result.client_stats.gets_pure_rdma) /
-      static_cast<double>(result.client_stats.gets);
-  EXPECT_GT(pure_fraction, 0.5);
+  ASSERT_GT(counter(result.metrics, "client.gets"), 0u);
+  EXPECT_GT(pure_fraction(result), 0.5);
 }
 
 TEST(IntegrationEFactory, NoHrVariantNeverUsesPureReads) {
   const RunResult result =
       run_one(SystemKind::kEFactoryNoHr, small_run(Mix::kReadIntensive));
-  EXPECT_EQ(result.client_stats.gets_pure_rdma, 0u);
-  EXPECT_EQ(result.client_stats.gets_rpc_path, result.client_stats.gets);
+  EXPECT_EQ(counter(result.metrics, "client.gets_pure_rdma"), 0u);
+  EXPECT_EQ(counter(result.metrics, "client.gets_rpc_path"),
+            counter(result.metrics, "client.gets"));
 }
 
 TEST(IntegrationErda, EveryReadPaysClientCrc) {
   const RunResult result =
       run_one(SystemKind::kErda, small_run(Mix::kReadOnly));
-  EXPECT_GE(result.client_stats.client_crc_checks, result.client_stats.gets);
+  EXPECT_GE(counter(result.metrics, "client.client_crc_checks"),
+            counter(result.metrics, "client.gets"));
 }
 
 TEST(IntegrationForca, EveryReadGoesThroughServer) {
   const RunResult result =
       run_one(SystemKind::kForca, small_run(Mix::kReadOnly));
-  EXPECT_EQ(result.client_stats.gets_rpc_path, result.client_stats.gets);
-  EXPECT_EQ(result.client_stats.gets_pure_rdma, 0u);
+  EXPECT_EQ(counter(result.metrics, "client.gets_rpc_path"),
+            counter(result.metrics, "client.gets"));
+  EXPECT_EQ(counter(result.metrics, "client.gets_pure_rdma"), 0u);
 }
 
 // ----------------------------------------------------------- log cleaning

@@ -350,7 +350,7 @@ TEST_F(ErdaFixture, OnlyTwoVersionsSurvive) {
 TEST_F(ErdaFixture, AtomicRegionIsOneWord) {
   const std::uint64_t h = hash_key(to_bytes("k3"));
   auto slot = table.find_or_claim(h);
-  const auto stores_before = arena.stats().cpu_stores;
+  const std::uint64_t stores_before = arena.stats().cpu_stores;
   table.push_version(*slot, kPoolBase + 0x400);
   // Exactly one 8-byte store: the update is failure-atomic.
   EXPECT_EQ(arena.stats().cpu_stores, stores_before + 1);

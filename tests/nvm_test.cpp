@@ -511,7 +511,7 @@ TEST_F(ArenaFixture, StatsTrackOperations) {
   static_cast<void>(arena.load(0, 100));
   arena.dma_write(512, pattern(64), sim.now(), sim.now());
   arena.crash();
-  const ArenaStats& s = arena.stats();
+  const Arena::Counters& s = arena.stats();
   EXPECT_EQ(s.cpu_stores, 1u);
   EXPECT_EQ(s.cpu_store_bytes, 100u);
   EXPECT_GE(s.cpu_loads, 1u);

@@ -105,7 +105,7 @@ TEST(StatsReport, CountersReflectActivity) {
                     .is_ok());
   }
   tc.settle();
-  const ServerStats& s = tc.cluster.store->server_stats();
+  const StoreBase::Counters& s = tc.cluster.store->server_stats();
   EXPECT_EQ(s.requests, 5u);
   EXPECT_EQ(s.allocs, 5u);
   EXPECT_GE(s.persists, 5u);

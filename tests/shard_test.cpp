@@ -253,11 +253,14 @@ TEST(ShardedClusterTest, CrossShardBatchSplitRoundTrips) {
         << "key " << k;
   }
 
-  // The routed client's stats aggregate the per-shard protocol clients.
-  const ClientStats stats = bed.client->stats();
-  EXPECT_EQ(stats.puts, 32u);
-  EXPECT_EQ(stats.gets, 32u);
-  EXPECT_GE(stats.batches, 2u);  // one put_batch + one get_batch
+  // The routed client's merged registry sums the per-shard protocol
+  // clients (which count the attempts) and its own engine counters.
+  metrics::MetricsRegistry merged;
+  bed.client->merge_metrics_into(merged, {});
+  EXPECT_EQ(merged.find_counter("client.puts")->value(), 32u);
+  EXPECT_EQ(merged.find_counter("client.gets")->value(), 32u);
+  // One put_batch + one get_batch.
+  EXPECT_GE(merged.find_counter("client.batches")->value(), 2u);
 }
 
 TEST(ShardedClusterTest, PartialShardFaultReentersRetryTail) {

@@ -2,13 +2,26 @@
 // synchronous wrappers that drive the simulator until an async op resolves.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <memory>
 #include <optional>
+#include <string_view>
 
+#include "metrics/metrics.hpp"
 #include "stores/factory.hpp"
 #include "workload/ycsb.hpp"
 
 namespace efac::testutil {
+
+/// A counter's value in `registry` (e.g. a run's merged metrics); a name
+/// that was never registered fails the calling test and reads as 0.
+inline std::uint64_t counter(const metrics::MetricsRegistry& registry,
+                             std::string_view name) {
+  const metrics::Counter* c = registry.find_counter(name);
+  EXPECT_NE(c, nullptr) << name;
+  return c == nullptr ? 0 : c->value();
+}
 
 inline stores::StoreConfig small_config() {
   stores::StoreConfig config;

@@ -1,7 +1,7 @@
-// Virtual-time telemetry: rule parsing, sampling semantics (deltas,
-// backfill, ring drops), edge-triggered SLO violations, the
-// efac.telemetry.v1 export round-trip (golden pin + validator rejects),
-// and end-to-end bit-determinism of sampled series over a real workload.
+// Virtual-time telemetry: sampling semantics (deltas, backfill, ring
+// drops, series prefix), the efac.telemetry.v1 export round-trip (golden
+// pin + validator rejections + older documents), and end-to-end
+// bit-determinism of sampled series over a real workload.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -17,54 +17,6 @@ namespace efac::metrics {
 namespace {
 
 using stores::SystemKind;
-
-// ------------------------------------------------------------ rule parsing
-
-TEST(SloRule, ParsesEveryFunction) {
-  const Expected<SloRule> rate = SloRule::parse("rate(client.retries) > 1e6");
-  ASSERT_TRUE(rate.has_value());
-  EXPECT_EQ(rate->fn, SloRule::Fn::kRate);
-  EXPECT_EQ(rate->series, "client.retries");
-  EXPECT_TRUE(rate->greater);
-  EXPECT_DOUBLE_EQ(rate->threshold, 1e6);
-  EXPECT_EQ(rate->window, 1u);
-
-  const Expected<SloRule> gauge =
-      SloRule::parse("gauge(server.verify_queue_depth) < 128 over 8");
-  ASSERT_TRUE(gauge.has_value());
-  EXPECT_EQ(gauge->fn, SloRule::Fn::kGauge);
-  EXPECT_FALSE(gauge->greater);
-  EXPECT_EQ(gauge->window, 8u);
-
-  const Expected<SloRule> slope =
-      SloRule::parse("slope(server.cleaner_backlog) > 4 over 16");
-  ASSERT_TRUE(slope.has_value());
-  EXPECT_EQ(slope->fn, SloRule::Fn::kSlope);
-  EXPECT_EQ(slope->window, 16u);
-
-  // Slope's window defaults to 2 (it needs two endpoints).
-  const Expected<SloRule> slope_default = SloRule::parse("slope(x) > 0");
-  ASSERT_TRUE(slope_default.has_value());
-  EXPECT_EQ(slope_default->window, 2u);
-
-  const Expected<SloRule> ratio = SloRule::parse(
-      "ratio(read.adaptive.hedges_wasted, read.adaptive.hedges) > 0.5 "
-      "over 32");
-  ASSERT_TRUE(ratio.has_value());
-  EXPECT_EQ(ratio->fn, SloRule::Fn::kRatio);
-  EXPECT_EQ(ratio->series, "read.adaptive.hedges_wasted");
-  EXPECT_EQ(ratio->denominator, "read.adaptive.hedges");
-}
-
-TEST(SloRule, RejectsMalformedRules) {
-  for (const char* bad :
-       {"", "bogus(x) > 1", "rate(x > 1", "rate() > 1", "rate(x) >= 1",
-        "rate(x) > ", "rate(x) > 1 over", "rate(x) > 1 over 0",
-        "rate(x) > 1 over 2 junk", "rate(x, y) > 1", "ratio(x) > 1",
-        "slope(x) > 1 over 1", "rate(x) > 1 trailing"}) {
-    EXPECT_FALSE(SloRule::parse(bad).has_value()) << bad;
-  }
-}
 
 // ------------------------------------------------------- sampling semantics
 
@@ -152,23 +104,28 @@ TEST(TelemetrySampler, RingDropsOldestAndAccountsForThem) {
   TelemetryOptions options;
   options.enabled = true;
   options.period_ns = 100;
-  options.capacity = 4;
   TelemetrySampler sampler{sim, registry, options};
 
   Counter& c = registry.counter("c");
   sampler.add_counter_source(&registry, "c", c);
-  for (int i = 1; i <= 10; ++i) {
-    c += static_cast<std::uint64_t>(i);
+  constexpr std::size_t kTicks = TelemetrySampler::kCapacity + 6;
+  for (std::size_t i = 1; i <= kTicks; ++i) {
+    c += i;
     sampler.sample_now();
   }
 
-  EXPECT_EQ(sampler.samples_taken(), 10u);
+  EXPECT_EQ(sampler.samples_taken(), kTicks);
   EXPECT_EQ(sampler.dropped(), 6u);
   const TelemetrySnapshot snap = sampler.snapshot();
-  EXPECT_EQ(snap.samples, 10u);
+  EXPECT_EQ(snap.samples, kTicks);
   EXPECT_EQ(snap.dropped, 6u);
-  // Only the newest `capacity` deltas survive, oldest evicted first.
-  EXPECT_EQ(snap.series[0].points, (std::vector<double>{7.0, 8.0, 9.0, 10.0}));
+  // Only the newest kCapacity deltas survive, oldest evicted first: the
+  // i-th tick's delta is i, so the ring holds 7 .. kTicks.
+  const std::vector<double>& points = snap.series[0].points;
+  ASSERT_EQ(points.size(), TelemetrySampler::kCapacity);
+  EXPECT_EQ(points.front(), 7.0);
+  EXPECT_EQ(points[1], 8.0);
+  EXPECT_EQ(points.back(), static_cast<double>(kTicks));
   // start_ns shifts past the evicted ticks (all taken at t=0 here, so it
   // is the drop count times the period).
   EXPECT_EQ(snap.start_ns, 6u * 100u);
@@ -217,82 +174,27 @@ TEST(TelemetrySampler, PeriodicEventSamplesOnTheSimClock) {
   EXPECT_EQ(sampler.samples_taken(), 4u);
 }
 
-// ---------------------------------------------------------------- watchdog
-
-TEST(TelemetrySampler, SloViolationsAreEdgeTriggered) {
-  sim::Simulator sim;
-  MetricsRegistry registry;
-  TelemetryOptions options;
-  options.enabled = true;
-  options.period_ns = 1000;
-  options.slo_rules = {"rate(c) > 0"};
-  TelemetrySampler sampler{sim, registry, options};
-  Counter& c = registry.counter("c");
-  sampler.add_counter_source(&registry, "c", c);
-
-  std::vector<std::size_t> hook_rules;
-  sampler.set_violation_hook(
-      [&hook_rules](const SloViolation&, std::size_t rule_index) {
-        hook_rules.push_back(rule_index);
-      });
-
-  c += 1;
-  sampler.sample_now();  // trips: one violation
-  c += 1;
-  sampler.sample_now();  // still tripped: edge already reported
-  sampler.sample_now();  // delta 0: clears, re-arms
-  c += 1;
-  sampler.sample_now();  // trips again: second violation
-
-  ASSERT_EQ(sampler.violations().size(), 2u);
-  const SloViolation& v = sampler.violations().front();
-  EXPECT_EQ(v.rule, "rate(c) > 0");
-  EXPECT_DOUBLE_EQ(v.threshold, 0.0);
-  // One delta per 1000ns tick = 1e6 per second.
-  EXPECT_DOUBLE_EQ(v.value, 1e6);
-  EXPECT_EQ(registry.counter("telemetry.slo_violations").value(), 2u);
-  EXPECT_EQ(hook_rules, (std::vector<std::size_t>{0, 0}));
-}
-
-TEST(TelemetrySampler, RatioRuleSkipsZeroDenominator) {
-  sim::Simulator sim;
-  MetricsRegistry registry;
-  TelemetryOptions options;
-  options.enabled = true;
-  options.slo_rules = {"ratio(a, b) > 0.5"};
-  TelemetrySampler sampler{sim, registry, options};
-  Counter& a = registry.counter("a");
-  Counter& b = registry.counter("b");
-  sampler.add_counter_source(&registry, "a", a);
-  sampler.add_counter_source(&registry, "b", b);
-
-  a += 10;
-  sampler.sample_now();  // denominator 0: rule skipped, no violation
-  EXPECT_TRUE(sampler.violations().empty());
-
-  a += 10;
-  b += 10;
-  sampler.sample_now();  // 10/10 = 1.0 > 0.5: trips
-  ASSERT_EQ(sampler.violations().size(), 1u);
-  EXPECT_DOUBLE_EQ(sampler.violations().front().value, 1.0);
-}
-
-TEST(TelemetrySampler, RulesResolveAgainstSeriesPrefix) {
+TEST(TelemetrySampler, SeriesPrefixNamesEverySeries) {
   sim::Simulator sim;
   MetricsRegistry registry;
   TelemetryOptions options;
   options.enabled = true;
   options.series_prefix = "s3/";
-  options.slo_rules = {"rate(c) > 0"};
   TelemetrySampler sampler{sim, registry, options};
   Counter& c = registry.counter("c");
   sampler.add_counter_source(&registry, "c", c);
+  sampler.add_gauge_probe(&registry, "g", [] { return 2.0; });
+  // A second source registered under the unprefixed name joins the same
+  // "s3/c" series instead of opening a new one.
+  sampler.add_counter_source(&c, "c", c);
 
   c += 1;
   sampler.sample_now();
-  // The unprefixed rule text matched the "s3/c" series.
-  EXPECT_EQ(sampler.violations().size(), 1u);
-  EXPECT_EQ(sampler.snapshot().series[0].name, "s3/c");
+  const TelemetrySnapshot snap = sampler.snapshot();
+  ASSERT_EQ(snap.series.size(), 2u);
+  EXPECT_EQ(snap.series[0].name, "s3/c");
+  EXPECT_EQ(snap.series[0].points, (std::vector<double>{2.0}));
+  EXPECT_EQ(snap.series[1].name, "s3/g");
 }
 
 // ------------------------------------------------------------------ export
@@ -309,9 +211,6 @@ std::vector<TelemetrySnapshot> golden_snapshots() {
       "server.requests", SeriesKind::kRate, {3.0, 1.0, 0.5}});
   snap.series.push_back(TelemetrySnapshot::Series{
       "client.inflight", SeriesKind::kGauge, {2.0, 2.0, 1.0}});
-  snap.violations.push_back(
-      SloViolation{"rate(server.requests) > 1e6", 6000, 1.5e6, 1e6});
-  snap.violations_dropped = 1;
   return {snap};
 }
 
@@ -328,11 +227,7 @@ constexpr std::string_view kGoldenDoc = R"({
       "series": {
         "server.requests": {"kind": "rate", "points": [3, 1, 0.5]},
         "client.inflight": {"kind": "gauge", "points": [2, 2, 1]}
-      },
-      "violations": [
-        {"rule": "rate(server.requests) > 1e6", "t_ns": 6000, "value": 1500000, "threshold": 1000000}
-      ],
-      "violations_dropped": 1
+      }
     }
   ]
 }
@@ -349,12 +244,28 @@ TEST(TelemetryJson, RoundTripsThroughTheParser) {
   EXPECT_EQ(*parsed, golden_snapshots());
 }
 
+TEST(TelemetryJson, OlderDocumentsWithViolationsStillLoad) {
+  // Earlier writers appended "violations" and "violations_dropped" to
+  // every snapshot; the parser skips keys it does not know.
+  const Expected<std::vector<TelemetrySnapshot>> parsed =
+      parse_telemetry_json(R"({"schema": "efac.telemetry.v1", "figure": "f",
+          "snapshots": [{"label": "x", "period_ns": 1, "start_ns": 0,
+            "samples": 1, "dropped": 0,
+            "series": {"s": {"kind": "rate", "points": [4]}},
+            "violations": [{"rule": "rate(s) > 1", "t_ns": 0, "value": 4,
+                            "threshold": 1}],
+            "violations_dropped": 0}]})");
+  ASSERT_TRUE(parsed.has_value()) << parsed.status().to_string();
+  ASSERT_EQ(parsed->size(), 1u);
+  ASSERT_EQ(parsed->front().series.size(), 1u);
+  EXPECT_EQ(parsed->front().series[0].points, (std::vector<double>{4.0}));
+}
+
 TEST(TelemetryJson, SamplerSnapshotExportValidates) {
   sim::Simulator sim;
   MetricsRegistry registry;
   TelemetryOptions options;
   options.enabled = true;
-  options.slo_rules = {"rate(c) > 0"};
   TelemetrySampler sampler{sim, registry, options};
   Counter& c = registry.counter("c");
   sampler.add_counter_source(&registry, "c", c);
@@ -397,8 +308,7 @@ TEST(TelemetryJson, RejectsBadDocuments) {
                    R"({"schema": "efac.telemetry.v1", "figure": "f",
                        "snapshots": [{"label": "x", "period_ns": 1,
                          "start_ns": 0, "samples": 1, "dropped": 2,
-                         "series": {}, "violations": [],
-                         "violations_dropped": 0}]})")
+                         "series": {}}]})")
                    .is_ok());
   // More points than retained samples.
   EXPECT_FALSE(validate_telemetry_json(
@@ -406,8 +316,7 @@ TEST(TelemetryJson, RejectsBadDocuments) {
                        "snapshots": [{"label": "x", "period_ns": 1,
                          "start_ns": 0, "samples": 2, "dropped": 1,
                          "series": {"s": {"kind": "rate",
-                                          "points": [1, 2]}},
-                         "violations": [], "violations_dropped": 0}]})")
+                                          "points": [1, 2]}}}]})")
                    .is_ok());
   // Unknown series kind.
   EXPECT_FALSE(validate_telemetry_json(
@@ -415,8 +324,7 @@ TEST(TelemetryJson, RejectsBadDocuments) {
                        "snapshots": [{"label": "x", "period_ns": 1,
                          "start_ns": 0, "samples": 1, "dropped": 0,
                          "series": {"s": {"kind": "mystery",
-                                          "points": []}},
-                         "violations": [], "violations_dropped": 0}]})")
+                                          "points": []}}}]})")
                    .is_ok());
   // Trailing garbage.
   EXPECT_FALSE(validate_telemetry_json(
@@ -440,7 +348,6 @@ workload::RunOptions e2e_options() {
   options.ops_per_client = 200;
   options.telemetry.enabled = true;
   options.telemetry.period_ns = 2 * timeconst::kMicrosecond;
-  options.telemetry.slo_rules = {"gauge(server.verify_queue_depth) < -1"};
   return options;
 }
 
@@ -485,8 +392,6 @@ TEST(TelemetryEndToEnd, SampledSeriesAreBitDeterministic) {
   }
   EXPECT_GT(requests, 0.0);
   EXPECT_TRUE(saw_queue_depth);
-  // An impossible rule (a size gauge below -1) never trips.
-  EXPECT_TRUE(first.violations.empty());
 }
 
 }  // namespace

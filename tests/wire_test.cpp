@@ -2,6 +2,7 @@
 // configuration sizing properties.
 #include <gtest/gtest.h>
 
+#include "store_test_util.hpp"
 #include "stores/wire.hpp"
 #include "workload/runner.hpp"
 
@@ -163,7 +164,7 @@ TEST(RunnerSmoke, TinyRunProducesCoherentResult) {
   EXPECT_GT(result.mops, 0.0);
   EXPECT_EQ(result.put_failures, 0u);
   EXPECT_EQ(result.get_failures, 0u);
-  EXPECT_EQ(result.client_stats.gets, result.gets);
+  EXPECT_EQ(testutil::counter(result.metrics, "client.gets"), result.gets);
 }
 
 }  // namespace
