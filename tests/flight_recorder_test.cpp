@@ -4,6 +4,9 @@
 // validator; the binary dump round-trips; the ring drops oldest-first.
 #include <gtest/gtest.h>
 
+#include <string_view>
+#include <vector>
+
 #include "stores/efactory.hpp"
 #include "store_test_util.hpp"
 #include "trace/chrome.hpp"
@@ -45,6 +48,84 @@ TracedRun run_traced(SystemKind kind, bool trace_enabled) {
   run.events_processed = tc.sim.events_processed();
   run.end_time = tc.sim.now();
   return run;
+}
+
+/// A traced run over every client path a system has: PUTs, a settle, two
+/// rounds of GETs (the second is where an adaptive client's speculative
+/// pair READ fires), one key displaced past its ideal slot, then one
+/// put_batch and one get_batch with no settle in between.
+struct ProtocolRun {
+  EventLog::Snapshot snapshot;
+  std::uint64_t gets = 0;
+  std::uint64_t gets_pure_rdma = 0;
+  std::uint64_t gets_rpc_path = 0;
+};
+
+ProtocolRun run_protocol_paths(SystemKind kind, bool adaptive) {
+  stores::StoreConfig config = testutil::small_config();
+  config.trace.enabled = true;
+  stores::ClientOptions options = testutil::hinted(32, 256);
+  options.adaptive.enabled = adaptive;
+  TestCluster tc{kind, config, options};
+  workload::Workload wl{workload::WorkloadConfig{
+      .key_count = 8, .key_len = 32, .value_len = 256}};
+  // The first key index past the workload that shares key 0's ideal slot:
+  // it is PUT after key 0, so it lands one slot further on.
+  const std::size_t mask = config.hash_buckets - 1;
+  const std::size_t home = kv::hash_key(wl.key_at(0)) & mask;
+  std::uint64_t displaced = 8;
+  while ((kv::hash_key(wl.key_at(displaced)) & mask) != home) ++displaced;
+  std::vector<std::uint64_t> keys{0, 1, 2, 3, 4, 5, 6, 7, displaced};
+
+  for (const std::uint64_t k : keys) {
+    EXPECT_TRUE(tc.put_sync(wl.key_at(k), wl.value_for(k, 1)).is_ok());
+  }
+  tc.settle();
+  for (int round = 0; round < 2; ++round) {
+    for (const std::uint64_t k : keys) {
+      const Expected<Bytes> got = tc.get_sync(wl.key_at(k));
+      EXPECT_TRUE(got.has_value() && *got == wl.value_for(k, 1))
+          << stores::to_string(kind) << " key " << k;
+    }
+  }
+  bool done = false;
+  tc.sim.spawn([](stores::KvClient& c, const workload::Workload& w,
+                  bool* flag) -> sim::Task<void> {
+    std::vector<stores::KvClient::PutOp> ops;
+    std::vector<Bytes> batch_keys;
+    for (std::uint64_t k = 0; k < 4; ++k) {
+      ops.push_back({w.key_at(k), w.value_for(k, 2)});
+      batch_keys.push_back(w.key_at(k));
+    }
+    for (const Status& s : co_await c.put_batch(std::move(ops))) {
+      EXPECT_TRUE(s.is_ok()) << s.to_string();
+    }
+    const std::vector<Expected<Bytes>> got =
+        co_await c.get_batch(std::move(batch_keys));
+    for (std::uint64_t k = 0; k < got.size(); ++k) {
+      EXPECT_TRUE(got[k].has_value() && *got[k] == w.value_for(k, 2))
+          << "batch member " << k;
+    }
+    *flag = true;
+  }(*tc.client, wl, &done));
+  tc.run_until_done([&] { return done; });
+
+  ProtocolRun run;
+  run.snapshot = tc.cluster.store->trace_log()->snapshot("test");
+  const stores::KvClient::Counters& stats = tc.client->stats();
+  run.gets = stats.gets.value();
+  run.gets_pure_rdma = stats.gets_pure_rdma.value();
+  run.gets_rpc_path = stats.gets_rpc_path.value();
+  return run;
+}
+
+/// FNV-1a over a serialized dump.
+std::uint64_t fnv1a(std::string_view bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    h = (h ^ static_cast<std::uint8_t>(c)) * 0x100000001b3ULL;
+  }
+  return h;
 }
 
 bool has_event(const EventLog::Snapshot& snap, EventType type) {
@@ -225,6 +306,39 @@ TEST(FlightRecorder, ClientOnlyKnobTracesEveryBaseline) {
         {run.snapshot}));
     EXPECT_TRUE(status.is_ok())
         << stores::to_string(kind) << ": " << status.to_string();
+  }
+}
+
+// The flight-recorder stream of every client path, pinned per system (and
+// for eFactory's adaptive client): the same verbs in the same order, with
+// the same op ids, path reasons and timestamps. A refactor of the client
+// protocols must leave every digest unchanged.
+TEST(FlightRecorder, ProtocolPathStreamsMatchGoldenDigests) {
+  struct Case {
+    SystemKind kind;
+    bool adaptive;
+    std::uint64_t digest;
+  };
+  const std::vector<Case> golden{
+      {SystemKind::kEFactory, false, 0x89b8213ae6b59874ULL},
+      {SystemKind::kEFactoryNoHr, false, 0xd8daf19b990dce7bULL},
+      {SystemKind::kSaw, false, 0xcc7d6214cd851e0aULL},
+      {SystemKind::kImm, false, 0x9ca9caf9d70e2fb7ULL},
+      {SystemKind::kErda, false, 0x691d14142a691a37ULL},
+      {SystemKind::kForca, false, 0x87b98ec5f046b926ULL},
+      {SystemKind::kRpc, false, 0x7b0425a6fd301e1dULL},
+      {SystemKind::kCaNoPersist, false, 0x94cdc15ada803d58ULL},
+      {SystemKind::kRcommit, false, 0x15b11fed86bb0adeULL},
+      {SystemKind::kInPlace, false, 0x617ce91ca946d069ULL},
+      {SystemKind::kEFactory, true, 0x747d1347043c16f0ULL},
+  };
+  ASSERT_EQ(golden.size(), stores::all_systems().size() + 1);
+  for (const Case& c : golden) {
+    const ProtocolRun run = run_protocol_paths(c.kind, c.adaptive);
+    EXPECT_EQ(run.snapshot.dropped, 0u);
+    EXPECT_EQ(fnv1a(to_binary({run.snapshot})), c.digest)
+        << stores::to_string(c.kind) << (c.adaptive ? " (adaptive)" : "")
+        << ": 0x" << std::hex << fnv1a(to_binary({run.snapshot}));
   }
 }
 
