@@ -14,17 +14,18 @@ constexpr int kMaxChain = 32;
 
 /// The "entry read + object read" GET of SAW, IMM, InPlace and CA. These
 /// systems trust the index (or, for CA, simply hope), so no verification
-/// happens client-side. Each subclass states how its object read
+/// happens client-side. Each system states how its object read
 /// tolerates racing writers: SAW/IMM index only after the persist point
 /// and decode_object re-validates the header (kMetaRevalidate); CA/InPlace
 /// give no such guarantee and declare the race (kDeclaredRacy — torn reads
-/// are exactly the flaw the motivation suite demonstrates).
+/// are exactly the flaw the motivation suite demonstrates). None of them
+/// charges the client CRC pass; CA runs the shared PUT as is.
 class TwoReadClient : public ProtocolClient {
  public:
   TwoReadClient(DirStore& store, const ClientOptions& options,
                 analysis::Guard object_guard, const char* entry_site,
                 const char* object_site)
-      : ProtocolClient(store, options),
+      : ProtocolClient(store, options, /*charge_crc=*/false),
         dir_(store.dir()),
         object_guard_(object_guard),
         entry_site_(entry_site),
@@ -41,9 +42,7 @@ class TwoReadClient : public ProtocolClient {
         entry->current(), kv::ObjectLayout::total_size(klen_hint_, vlen_hint_),
         object_guard_, object_site_);
     if (!raw_obj) co_return raw_obj.status();
-    ++stats_.gets_pure_rdma;
-    recorder_.emit(trace::EventType::kGetPath,
-                   static_cast<std::uint8_t>(trace::GetPath::kFastOneSided));
+    note_get_path(trace::GetPath::kFastOneSided);
     co_return decode_object(*raw_obj, klen_hint_, vlen_hint_, key_hash);
   }
 
@@ -272,7 +271,11 @@ class ImmClient final : public TwoReadClient {
   /// the per-member durability acks are awaited afterwards (they carry
   /// the per-op outcome, so per-op statuses survive coalescing). With an
   /// armed fault injector the writes are awaited individually instead so
-  /// each member sees its own tear/loss outcome.
+  /// each member sees its own tear/loss outcome. Not the shared
+  /// write_burst: each member arms its ack before its WR is posted and
+  /// disarms it if the post fails, and the burst ends on the acks, not on
+  /// the last completion, so sharing the step would make it branch on
+  /// its caller.
   sim::Task<std::vector<Status>> put_batch_attempt(
       std::vector<PutOp>& ops,
       const std::vector<std::uint32_t>& op_ids) override {
@@ -416,43 +419,22 @@ Expected<Bytes> ErdaStore::recover_get(BytesView key) {
 
 namespace {
 
+/// Erda's client: the shared PUT and batch-reserve PUT with the client CRC
+/// pass charged, and a GET that CRC-verifies every object it reads.
 class ErdaClient final : public ProtocolClient {
  public:
   ErdaClient(ErdaStore& store, const ClientOptions& options)
-      : ProtocolClient(store, options), table_(store.table()) {}
-
-  sim::Task<Status> put_attempt(Bytes key, Bytes value) override {
-    ++stats_.puts;
-    TRACE_SPAN(tracer_, "put.total");
-    co_await crc_pass(crc_cost(value.size()));
-    const AllocRequest req = alloc_request(key, value);
-    const Expected<AllocResponse> resp = co_await alloc_rpc(req);
-    if (!resp) co_return resp.status();
-    co_return co_await write_value(resp->object_off, key.size(), value);
-  }
+      : ProtocolClient(store, options, /*charge_crc=*/true),
+        table_(store.table()) {}
 
  protected:
   [[nodiscard]] bool has_batch_put() const noexcept override { return true; }
-
-  /// Batch-reserve PUT: one combined CRC pass, one kAllocBatch RPC, and a
-  /// doorbell-coalesced burst of one-sided value writes.
-  sim::Task<std::vector<Status>> put_batch_attempt(
-      std::vector<PutOp>& ops,
-      const std::vector<std::uint32_t>& op_ids) override {
-    TRACE_SPAN(tracer_, "put_batch.total");
-    co_await crc_pass(crc_cost(ops));
-    const BatchAllocRequest breq = batch_request(ops);
-    const Expected<BatchAllocResponse> bresp = co_await batch_alloc_rpc(breq);
-    if (!bresp) co_return std::vector<Status>(ops.size(), bresp.status());
-    co_return co_await write_burst(ops, op_ids, *bresp);
-  }
-
 
   sim::Task<Expected<Bytes>> get_attempt(Bytes key) override {
     ++stats_.gets;
     TRACE_SPAN(tracer_, "get.total");
     const std::uint64_t key_hash = kv::hash_key(key);
-        const std::size_t home = table_.ideal_slot(key_hash);
+    const std::size_t home = table_.ideal_slot(key_hash);
     metrics::Span entry_span{tracer_, "get.entry_read"};
     // The neighborhood scan races with the server's atomic-region index
     // stores; scan_neighborhood re-validates hashes before trusting it.
@@ -467,26 +449,19 @@ class ErdaClient final : public ProtocolClient {
         kv::ErdaTable::scan_neighborhood(*raw_hood, key_hash,
                                          table_.pool_base());
     if (!versions) co_return versions.status();
-    ++stats_.gets_pure_rdma;
-    recorder_.emit(trace::EventType::kGetPath,
-                   static_cast<std::uint8_t>(trace::GetPath::kFastOneSided));
+    note_get_path(trace::GetPath::kFastOneSided);
 
     bool first = true;
-    // Erda tolerates reading in-flight writes precisely because every
-    // read is CRC-verified before the value is returned (Fig. 2's cost).
-    analysis::AccessGuard crc_guard(checker_, analysis::Guard::kCrcVerify,
-                                    "erda.get.object_read");
     const std::array<MemOffset, 2> candidates{versions->cur, versions->prev};
     for (const MemOffset off : candidates) {
       if (off == 0) continue;
       if (!first) ++stats_.version_rereads;
       first = false;
-      const std::size_t total =
-          kv::ObjectLayout::total_size(klen_hint_, vlen_hint_);
-      metrics::Span read_span{tracer_, "get.object_read"};
-      const Expected<Bytes> raw = co_await conn_.qp().read(
-          store_.pool_rkey(), off - store_.pool_a().base(), total);
-      read_span.finish();
+      // Erda tolerates reading in-flight writes precisely because every
+      // read is CRC-verified before the value is returned (Fig. 2's cost).
+      const Expected<Bytes> raw = co_await read_object(
+          off, kv::ObjectLayout::total_size(klen_hint_, vlen_hint_),
+          analysis::Guard::kCrcVerify, "erda.get.object_read");
       if (!raw) continue;
       const kv::ObjectMeta meta = kv::ObjectLayout::decode_header(*raw);
       if (meta.key_hash != key_hash || !meta.valid ||
@@ -622,26 +597,16 @@ sim::Task<void> ForcaStore::handle_get_loc(rpc::ParsedRequest req) {
 
 namespace {
 
+/// Forca's client: the shared PUT with the client CRC pass charged, and a
+/// GET that always asks the server to verify and persist first.
 class ForcaClient final : public ProtocolClient {
  public:
   ForcaClient(ForcaStore& store, const ClientOptions& options)
-      : ProtocolClient(store, options) {}
-
-  sim::Task<Status> put_attempt(Bytes key, Bytes value) override {
-    ++stats_.puts;
-    TRACE_SPAN(tracer_, "put.total");
-    co_await crc_pass(crc_cost(value.size()));
-    const AllocRequest req = alloc_request(key, value);
-    const Expected<AllocResponse> resp = co_await alloc_rpc(req);
-    if (!resp) co_return resp.status();
-    co_return co_await write_value(resp->object_off, key.size(), value);
-  }
+      : ProtocolClient(store, options, /*charge_crc=*/true) {}
 
   sim::Task<Expected<Bytes>> get_attempt(Bytes key) override {
     ++stats_.gets;
-    ++stats_.gets_rpc_path;  // Forca reads always involve the server
-    recorder_.emit(trace::EventType::kGetPath,
-                   static_cast<std::uint8_t>(trace::GetPath::kRpcOnlyMode));
+    note_get_path(trace::GetPath::kRpcOnlyMode);  // always via the server
     TRACE_SPAN(tracer_, "get.total");
     const std::uint64_t key_hash = kv::hash_key(key);
     GetLocRequest req;
@@ -752,8 +717,7 @@ namespace {
 class RpcStoreClient final : public ProtocolClient {
  public:
   RpcStoreClient(RpcStore& store, const ClientOptions& options)
-      : ProtocolClient(store, options) {}
-
+      : ProtocolClient(store, options, /*charge_crc=*/false) {}
 
   sim::Task<Status> put_attempt(Bytes key, Bytes value) override {
     ++stats_.puts;
@@ -771,9 +735,7 @@ class RpcStoreClient final : public ProtocolClient {
 
   sim::Task<Expected<Bytes>> get_attempt(Bytes key) override {
     ++stats_.gets;
-    ++stats_.gets_rpc_path;
-    recorder_.emit(trace::EventType::kGetPath,
-                   static_cast<std::uint8_t>(trace::GetPath::kRpcOnlyMode));
+    note_get_path(trace::GetPath::kRpcOnlyMode);
     TRACE_SPAN(tracer_, "get.total");
     GetLocRequest req;
     req.key = std::move(key);
@@ -888,28 +850,11 @@ sim::Task<void> CaStore::handle(rdma::InboundMessage msg) {
   reply(req, resp.encode());
 }
 
-namespace {
-
-class CaClient final : public TwoReadClient {
- public:
-  CaClient(CaStore& store, const ClientOptions& options)
-      : TwoReadClient(store, options, analysis::Guard::kDeclaredRacy,
-                      "ca.get.entry_read", "ca.get.object_read") {}
-
-  sim::Task<Status> put_attempt(Bytes key, Bytes value) override {
-    ++stats_.puts;
-    TRACE_SPAN(tracer_, "put.total");
-    const AllocRequest req = alloc_request(key, value);  // bookkeeping only
-    const Expected<AllocResponse> resp = co_await alloc_rpc(req);
-    if (!resp) co_return resp.status();
-    co_return co_await write_value(resp->object_off, key.size(), value);
-  }
-};
-
-}  // namespace
-
 std::unique_ptr<KvClient> CaStore::make_client(ClientOptions options) {
-  return std::make_unique<CaClient>(*this, options);
+  return std::make_unique<TwoReadClient>(*this, options,
+                                         analysis::Guard::kDeclaredRacy,
+                                         "ca.get.entry_read",
+                                         "ca.get.object_read");
 }
 
 }  // namespace efac::stores

@@ -751,7 +751,7 @@ EFactoryStore::RecoveryReport EFactoryStore::recover() {
 
 EFactoryClient::EFactoryClient(EFactoryStore& store,
                                const ClientOptions& options)
-    : ProtocolClient(store, options),
+    : ProtocolClient(store, options, /*charge_crc=*/true),
       efactory_(store),
       hybrid_(options.read_mode != ReadMode::kRpcOnly) {
   // The adaptive state only serves the hybrid fast path, so an RPC-only
@@ -759,30 +759,6 @@ EFactoryClient::EFactoryClient(EFactoryStore& store,
   if (options.adaptive.enabled && hybrid_) {
     adaptive_ = std::make_unique<AdaptiveReadState>(metrics_);
   }
-}
-
-sim::Task<Status> EFactoryClient::put_attempt(Bytes key, Bytes value) {
-  ++stats_.puts;
-  TRACE_SPAN(tracer_, "put.total");
-  // Client computes the CRC that rides in the alloc request.
-  co_await crc_pass(crc_cost(value.size()));
-  const AllocRequest req = alloc_request(key, value);
-  const Expected<AllocResponse> resp = co_await alloc_rpc(req);
-  if (!resp) co_return resp.status();
-  // One-sided transfer of the value into the returned region.
-  co_return co_await write_value(resp->object_off, key.size(), value);
-}
-
-sim::Task<std::vector<Status>> EFactoryClient::put_batch_attempt(
-    std::vector<PutOp>& ops, const std::vector<std::uint32_t>& op_ids) {
-  TRACE_SPAN(tracer_, "put_batch.total");
-  // One CRC pass over every member's value before the shared alloc RPC.
-  co_await crc_pass(crc_cost(ops));
-  // ONE alloc RPC reserves log space for the whole batch.
-  const BatchAllocRequest breq = batch_request(ops);
-  const Expected<BatchAllocResponse> bresp = co_await batch_alloc_rpc(breq);
-  if (!bresp) co_return std::vector<Status>(ops.size(), bresp.status());
-  co_return co_await write_burst(ops, op_ids, *bresp);
 }
 
 sim::Task<Status> EFactoryClient::del_attempt(Bytes key) {
@@ -812,11 +788,9 @@ sim::Task<Expected<Bytes>> EFactoryClient::get_attempt(Bytes key) {
 
   // ---- optimistic pure-RDMA path -------------------------------------
   if (hybrid_ && !efactory_.clients_use_rpc() && vlen_hint_ > 0) {
-    fallback = trace::GetPath::kEntryMiss;  // until proven otherwise
-    // Client-side linear probing for displaced keys, then the object read.
-    constexpr std::size_t kClientProbeLimit = 16;
     kv::HashDir& dir = efactory_.dir();
-    std::size_t slot = dir.ideal_slot(key_hash);
+    const std::size_t total =
+        kv::ObjectLayout::total_size(klen_hint_, vlen_hint_);
     // Speculative pair READ: when the durable-offset record knows which
     // offset this key was last seen durable at, the ideal-slot entry and
     // the object at that offset are fetched in ONE doorbelled round trip.
@@ -826,7 +800,6 @@ sim::Task<Expected<Bytes>> EFactoryClient::get_attempt(Bytes key) {
     // over with the entry already in hand.
     const MemOffset spec_off =
         adaptive_ != nullptr ? adaptive_->predicted_off(key_hash) : 0;
-    std::optional<Bytes> spec_bytes;
     if (adaptive_ != nullptr) {
       // Hedged GET: the fallback locate RPC departs NOW, concurrently
       // with the optimistic READs. If the attempt lands (flag set), the
@@ -838,107 +811,93 @@ sim::Task<Expected<Bytes>> EFactoryClient::get_attempt(Bytes key) {
       hedge_req.key = key;
       hedge = conn_.call_begin(kGetLoc, hedge_req.encode());
     }
-    for (std::size_t probe = 0; probe < kClientProbeLimit; ++probe) {
-      const bool speculate = probe == 0 && spec_off != 0;
-      // Index entries are read racily and re-validated by key hash; a torn
-      // or stale entry at worst sends us to the RPC fallback.
+    Expected<kv::HashDir::Entry> entry = Status{StatusCode::kNotFound};
+    // The object's bytes: the pair READ's second half once its entry
+    // confirms the prediction, otherwise READ through the entry below.
+    Expected<Bytes> object = Status{StatusCode::kNotFound};
+    // The pair READ is probe 0 of the 16; an entry holding another key
+    // sends probe_entry on from probe 1.
+    std::size_t first_probe = 0;
+    if (spec_off != 0) {
+      // Index entries are read racily and re-validated by key hash; the
+      // object half is only trusted once the entry confirms the
+      // prediction *and* the durability flag is set.
       analysis::AccessGuard entry_guard(checker_,
                                         analysis::Guard::kMetaRevalidate,
                                         "efactory.get.entry_read");
-      std::optional<Expected<Bytes>> raw_opt;
-      if (speculate) {
-        // The object half is only trusted below once the entry confirms
-        // the prediction *and* the durability flag is set.
-        analysis::AccessGuard spec_guard(checker_,
-                                         analysis::Guard::kDurabilityFlag,
-                                         "efactory.get.spec_read");
-        metrics::Span spec_span{tracer_, "get.spec_read"};
-        auto pair = co_await conn_.qp().read_pair(
-            store_.index_rkey(), dir.entry_offset(slot),
-            kv::HashDir::kEntrySize, store_.pool_rkey(), pool_off(spec_off),
-            kv::ObjectLayout::total_size(klen_hint_, vlen_hint_));
-        spec_span.finish();
-        raw_opt.emplace(std::move(pair.first));
-        if (pair.second) spec_bytes = std::move(*pair.second);
+      analysis::AccessGuard spec_guard(checker_,
+                                       analysis::Guard::kDurabilityFlag,
+                                       "efactory.get.spec_read");
+      metrics::Span spec_span{tracer_, "get.spec_read"};
+      auto pair = co_await conn_.qp().read_pair(
+          store_.index_rkey(), dir.entry_offset(dir.ideal_slot(key_hash)),
+          kv::HashDir::kEntrySize, store_.pool_rkey(), pool_off(spec_off),
+          total);
+      spec_span.finish();
+      if (!pair.first) {
+        entry = pair.first.status();
       } else {
-        metrics::Span entry_span{tracer_, "get.entry_read"};
-        raw_opt.emplace(co_await conn_.qp().read(
-            store_.index_rkey(), dir.entry_offset(slot),
-            kv::HashDir::kEntrySize));
-        entry_span.finish();
-      }
-      const Expected<Bytes>& raw = *raw_opt;
-      if (!raw) {
-        fallback = trace::GetPath::kReadError;
-        break;
-      }
-      const kv::HashDir::Entry entry = kv::HashDir::decode(*raw);
-      const bool spec_held = speculate && spec_bytes.has_value() &&
-                             entry.key_hash == key_hash &&
-                             entry.current() == spec_off;
-      if (speculate && adaptive_ != nullptr) {
-        adaptive_->note_spec_pair(spec_held);
-      }
-      if (entry.empty()) break;
-      if (entry.key_hash == key_hash) {
-        if (entry.current() != 0) {
-          bool tombstoned = false;
-          std::optional<Expected<Bytes>> value_opt;
-          if (spec_held) {
-            value_opt.emplace(decode_object(*spec_bytes, klen_hint_,
-                                            vlen_hint_, key_hash,
-                                            /*require_flag=*/true,
-                                            &tombstoned));
-          } else {
-            // Trusts nothing until the durability flag says the bytes are
-            // immutable and persisted.
-            const Expected<Bytes> raw_obj = co_await read_object(
-                entry.current(),
-                kv::ObjectLayout::total_size(klen_hint_, vlen_hint_),
-                analysis::Guard::kDurabilityFlag, "efactory.get.flagged_read");
-            if (raw_obj) {
-              value_opt.emplace(decode_object(*raw_obj, klen_hint_,
-                                              vlen_hint_, key_hash,
-                                              /*require_flag=*/true,
-                                              &tombstoned));
-            } else {
-              value_opt.emplace(raw_obj.status());
-            }
-          }
-          Expected<Bytes>& value = *value_opt;
-          if (value || tombstoned) {
-            // Flag set (or conclusive tombstone): this version is the
-            // next GET's speculation target.
-            if (adaptive_ != nullptr) {
-              adaptive_->note_durable(key_hash, entry.current());
-            }
-            if (hedge) {
-              conn_.call_abandon(std::move(*hedge));
-              adaptive_->note_hedge(/*wasted=*/true);
-            }
-            ++stats_.gets_pure_rdma;
-            recorder_.emit(
-                trace::EventType::kGetPath,
-                static_cast<std::uint8_t>(trace::GetPath::kFastOneSided));
-            if (value) co_return std::move(value).take();
-            co_return Status{StatusCode::kNotFound, "deleted"};
-          }
-          if (value.code() == StatusCode::kUnavailable) {
-            fallback = trace::GetPath::kFlagUnset;
-          } else if (value.code() == StatusCode::kTimeout) {
-            fallback = trace::GetPath::kReadError;
-          }
+        const kv::HashDir::Entry ideal = kv::HashDir::decode(*pair.first);
+        const bool held = pair.second.has_value() &&
+                          ideal.key_hash == key_hash &&
+                          ideal.current() == spec_off;
+        adaptive_->note_spec_pair(held);
+        if (held) object = std::move(pair.second);
+        if (ideal.key_hash == key_hash) {
+          if (ideal.current() != 0) entry = ideal;
+        } else if (!ideal.empty()) {
+          first_probe = 1;
         }
-        break;  // found but not yet durable (or empty): RPC fallback
       }
-      slot = (slot + 1) & (dir.bucket_count() - 1);
+    }
+    if (spec_off == 0 || first_probe == 1) {
+      entry = co_await probe_entry(dir, key_hash, "efactory.get.entry_read",
+                                   first_probe);
+    }
+    if (entry) {
+      if (!object) {
+        // Trusts nothing until the durability flag says the bytes are
+        // immutable and persisted.
+        object = co_await read_object(entry->current(), total,
+                                      analysis::Guard::kDurabilityFlag,
+                                      "efactory.get.flagged_read");
+      }
+      bool tombstoned = false;
+      Expected<Bytes> value =
+          object ? decode_object(*object, klen_hint_, vlen_hint_, key_hash,
+                                 /*require_flag=*/true, &tombstoned)
+                 : object;
+      if (value || tombstoned) {
+        // Flag set (or conclusive tombstone): this version is the next
+        // GET's speculation target.
+        if (adaptive_ != nullptr) {
+          adaptive_->note_durable(key_hash, entry->current());
+        }
+        if (hedge) {
+          conn_.call_abandon(std::move(*hedge));
+          adaptive_->note_hedge(/*wasted=*/true);
+        }
+        note_get_path(trace::GetPath::kFastOneSided);
+        if (value) co_return std::move(value).take();
+        co_return Status{StatusCode::kNotFound, "deleted"};
+      }
+      // Found but not yet durable (or unreadable): RPC fallback.
+      fallback = trace::GetPath::kEntryMiss;
+      if (value.code() == StatusCode::kUnavailable) {
+        fallback = trace::GetPath::kFlagUnset;
+      } else if (value.code() == StatusCode::kTimeout) {
+        fallback = trace::GetPath::kReadError;
+      }
+    } else {
+      // A one-sided READ fails only on a bad rkey or bounds (kPermission).
+      fallback = entry.code() == StatusCode::kNotFound
+                     ? trace::GetPath::kEntryMiss
+                     : trace::GetPath::kReadError;
     }
   }
 
   // ---- RPC+RDMA read fallback ----------------------------------------
-  ++stats_.gets_rpc_path;
-  recorder_.emit(trace::EventType::kGetPath,
-                 static_cast<std::uint8_t>(fallback));
+  note_get_path(fallback);
   metrics::Span rpc_span{tracer_, "get.rpc_fallback"};
   Expected<Bytes> raw = Status{StatusCode::kTimeout, "unset"};
   if (hedge) {

@@ -179,22 +179,16 @@ class EFactoryStore final : public DirStore {
   std::uint64_t epoch_ = 0;
 };
 
-/// eFactory client: client-active PUT, hybrid (or RPC-only) GET.
+/// eFactory client: the shared client-active PUT and batch-reserve PUT
+/// with the client CRC pass charged, hybrid (or RPC-only) GET.
 class EFactoryClient final : public ProtocolClient {
  public:
   EFactoryClient(EFactoryStore& store, const ClientOptions& options);
 
  protected:
-  sim::Task<Status> put_attempt(Bytes key, Bytes value) override;
   sim::Task<Expected<Bytes>> get_attempt(Bytes key) override;
   sim::Task<Status> del_attempt(Bytes key) override;
-
-  /// Batch-reserve PUT: one kAllocBatch RPC for the whole batch, then a
-  /// doorbell-coalesced burst of one-sided value writes.
   [[nodiscard]] bool has_batch_put() const noexcept override { return true; }
-  sim::Task<std::vector<Status>> put_batch_attempt(
-      std::vector<PutOp>& ops,
-      const std::vector<std::uint32_t>& op_ids) override;
 
  private:
   EFactoryStore& efactory_;

@@ -1,6 +1,6 @@
 // Abstract client interface every system implements.
 //
-// Clients are simulation actors: put()/get() are coroutines whose elapsed
+// Clients are simulation actors: put()/get() return tasks whose elapsed
 // virtual time is the operation latency. Size hints mirror what published
 // RDMA-KV prototypes do — clients know the (fixed) object geometry of the
 // workload, which lets one-sided GETs read exactly the right span.
@@ -8,10 +8,9 @@
 // The public surface has three tiers, all funnelled through ONE shared
 // retry/trace/metrics engine (run_op):
 //
-//   * sync      — put/get/del: trivial wrappers that co_await the engine
-//                 directly (zero extra scheduler events vs. the engine
-//                 alone, so single-op schedules are bit-identical to the
-//                 pre-async design);
+//   * sync      — put/get/del: the engine's own task for the op (no
+//                 frame or scheduler event of their own, so single-op
+//                 schedules are bit-identical to the pre-async design);
 //   * async     — put_async/get_async/del_async return lightweight
 //                 OpHandles; completions are awaited out of order with
 //                 await_status/await_value. In-flight ops are bounded by
@@ -35,10 +34,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "analysis/checker.hpp"
@@ -176,16 +175,20 @@ class KvClient {
   };
 
   // ---- synchronous surface ----------------------------------------------
-  // Trivial wrappers over the shared engine: retry (transient failures —
+  // The shared engine's task for the op: retry (transient failures —
   // kTimeout, kUnavailable — up to the attempt budget with capped
   // exponential backoff + seeded jitter), tracing and metrics live in
   // run_op only. With the default single-attempt policy the engine
-  // delegates directly (no RNG draws, no extra events).
+  // delegates directly (no RNG draws, no extra events). The attempt owns
+  // the operands and moves them into the try only when no later attempt
+  // could reuse them.
 
   /// Durable-or-consistent PUT per the semantics of the concrete system.
   sim::Task<Status> put(Bytes key, Bytes value) {
-    co_return co_await run_op<Status>(
-        trace::OpKind::kPut, "put", [this, &key, &value](bool may_move) {
+    return run_op<Status>(
+        trace::OpKind::kPut, "put",
+        [this, key = std::move(key),
+         value = std::move(value)](bool may_move) mutable {
           return may_move ? put_attempt(std::move(key), std::move(value))
                           : put_attempt(key, value);
         });
@@ -193,8 +196,9 @@ class KvClient {
 
   /// GET; returns the value bytes.
   sim::Task<Expected<Bytes>> get(Bytes key) {
-    co_return co_await run_op<Expected<Bytes>>(
-        trace::OpKind::kGet, "get", [this, &key](bool may_move) {
+    return run_op<Expected<Bytes>>(
+        trace::OpKind::kGet, "get",
+        [this, key = std::move(key)](bool may_move) mutable {
           return may_move ? get_attempt(std::move(key)) : get_attempt(key);
         });
   }
@@ -203,61 +207,40 @@ class KvClient {
   /// space is reclaimed by log cleaning. Unsupported systems return
   /// kUnimplemented (never retried).
   sim::Task<Status> del(Bytes key) {
-    co_return co_await run_op<Status>(
-        trace::OpKind::kDel, "del", [this, &key](bool may_move) {
+    return run_op<Status>(
+        trace::OpKind::kDel, "del",
+        [this, key = std::move(key)](bool may_move) mutable {
           return may_move ? del_attempt(std::move(key)) : del_attempt(key);
         });
   }
 
   // ---- asynchronous surface ---------------------------------------------
-  // Submission spawns a detached driver that (1) acquires a window permit,
-  // (2) runs the same engine as the sync surface, (3) publishes the result
-  // and opens the handle's gate. Completions may be awaited out of order;
-  // each handle must be redeemed exactly once.
+  // Submission hands the sync surface's (not yet started) task to a
+  // detached driver that (1) acquires a window permit, (2) runs the task,
+  // (3) publishes the result and opens the handle's gate. Completions may
+  // be awaited out of order; each handle must be redeemed exactly once.
 
   OpHandle put_async(Bytes key, Bytes value) {
-    const OpHandle handle = make_pending(trace::OpKind::kPut);
-    sim_.spawn(put_driver(handle.id, std::move(key), std::move(value)));
-    return handle;
+    return submit(trace::OpKind::kPut, put(std::move(key), std::move(value)));
   }
 
   OpHandle get_async(Bytes key) {
-    const OpHandle handle = make_pending(trace::OpKind::kGet);
-    sim_.spawn(get_driver(handle.id, std::move(key)));
-    return handle;
+    return submit(trace::OpKind::kGet, get(std::move(key)));
   }
 
   OpHandle del_async(Bytes key) {
-    const OpHandle handle = make_pending(trace::OpKind::kDel);
-    sim_.spawn(del_driver(handle.id, std::move(key)));
-    return handle;
+    return submit(trace::OpKind::kDel, del(std::move(key)));
   }
 
   /// Redeem a PUT/DEL handle. Suspends until the op completes (no event
   /// if it already has), then releases the slot.
   sim::Task<Status> await_status(OpHandle handle) {
-    PendingOp* op = find_pending(handle.id);
-    EFAC_CHECK_MSG(op != nullptr,
-                   "await_status: unknown or already-redeemed op handle");
-    co_await op->done.wait();
-    EFAC_CHECK_MSG(op->status.has_value(),
-                   "await_status on a GET handle — use await_value");
-    Status out = std::move(*op->status);
-    pending_.erase(handle.id);
-    co_return out;
+    return redeem<Status>(handle);
   }
 
   /// Redeem a GET handle.
   sim::Task<Expected<Bytes>> await_value(OpHandle handle) {
-    PendingOp* op = find_pending(handle.id);
-    EFAC_CHECK_MSG(op != nullptr,
-                   "await_value: unknown or already-redeemed op handle");
-    co_await op->done.wait();
-    EFAC_CHECK_MSG(op->value.has_value(),
-                   "await_value on a PUT/DEL handle — use await_status");
-    Expected<Bytes> out = std::move(*op->value);
-    pending_.erase(handle.id);
-    co_return out;
+    return redeem<Expected<Bytes>>(handle);
   }
 
   /// Ops currently between window acquisition and completion.
@@ -344,8 +327,7 @@ class KvClient {
     switch_to("del");
     return del_attempt(std::move(key));
   }
-  /// Whether attempt_put_batch runs a true batch-reserve path (vs. the
-  /// sequential per-member default).
+  /// Whether attempt_put_batch runs a true batch-reserve path.
   [[nodiscard]] bool supports_batch_put() const noexcept {
     return has_batch_put();
   }
@@ -465,18 +447,23 @@ class KvClient {
   /// One try of a whole batch: must return one status per op, in order.
   /// `op_ids` are the members' causal op ids — implementations re-point
   /// recorder attribution (set_current) as they move from member to
-  /// member so coalesced verbs stay per-op attributable. The default
-  /// (unused unless has_batch_put() is overridden alone) runs the members
-  /// sequentially through the single-op attempt.
+  /// member so coalesced verbs stay per-op attributable. Reached only when
+  /// has_batch_put() is true.
   virtual sim::Task<std::vector<Status>> put_batch_attempt(
-      std::vector<PutOp>& ops, const std::vector<std::uint32_t>& op_ids) {
-    std::vector<Status> out;
-    out.reserve(ops.size());
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      recorder_.set_current(op_ids[i]);
-      out.push_back(co_await put_attempt(ops[i].key, ops[i].value));
+      std::vector<PutOp>& ops, const std::vector<std::uint32_t>& op_ids) = 0;
+
+  /// Count a GET's read path and record why it took it, so the counter
+  /// split and the flight recorder's path reasons cannot disagree: the
+  /// pure one-sided path counts as gets_pure_rdma, every other reason as
+  /// gets_rpc_path.
+  void note_get_path(trace::GetPath path) {
+    if (path == trace::GetPath::kFastOneSided) {
+      ++stats_.gets_pure_rdma;
+    } else {
+      ++stats_.gets_rpc_path;
     }
-    co_return out;
+    recorder_.emit(trace::EventType::kGetPath,
+                   static_cast<std::uint8_t>(path));
   }
 
   /// Enter this client's clock domain, labelling the operation for
@@ -545,17 +532,19 @@ class KvClient {
   }
 
   /// Completion slot for one async op. The Gate broadcasts, so redeeming
-  /// after completion costs no event; exactly one of status/value is set.
+  /// after completion costs no event; the driver sets the result once.
   struct PendingOp {
     explicit PendingOp(sim::Simulator& sim) : done(sim) {}
     sim::Gate done;
-    std::optional<Status> status;
-    std::optional<Expected<Bytes>> value;
+    std::variant<std::monostate, Status, Expected<Bytes>> result;
   };
 
-  OpHandle make_pending(trace::OpKind kind) {
+  /// Register a completion slot for `op` and spawn its driver.
+  template <typename Result>
+  OpHandle submit(trace::OpKind kind, sim::Task<Result> op) {
     const std::uint64_t id = ++last_async_id_;
     pending_.emplace(id, std::make_unique<PendingOp>(sim_));
+    sim_.spawn(drive(id, std::move(op)));
     return OpHandle{id, kind};
   }
 
@@ -573,53 +562,34 @@ class KvClient {
   }
   void inflight_exit() noexcept { --inflight_; }
 
-  sim::Task<void> put_driver(std::uint64_t id, Bytes key, Bytes value) {
+  /// The async driver: run `op` under a window permit, then publish its
+  /// result into the op's completion slot.
+  template <typename Result>
+  sim::Task<void> drive(std::uint64_t id, sim::Task<Result> op) {
     sim::SemaphoreLock permit =
         co_await sim::SemaphoreLock::acquire(window_);
     inflight_enter();
-    Status result = co_await run_op<Status>(
-        trace::OpKind::kPut, "put", [this, &key, &value](bool may_move) {
-          return may_move ? put_attempt(std::move(key), std::move(value))
-                          : put_attempt(key, value);
-        });
+    Result result = co_await std::move(op);
     inflight_exit();
     permit.reset();
-    if (PendingOp* op = find_pending(id)) {
-      op->status.emplace(std::move(result));
-      op->done.open();
+    if (PendingOp* pending = find_pending(id)) {
+      pending->result.emplace<Result>(std::move(result));
+      pending->done.open();
     }
   }
 
-  sim::Task<void> get_driver(std::uint64_t id, Bytes key) {
-    sim::SemaphoreLock permit =
-        co_await sim::SemaphoreLock::acquire(window_);
-    inflight_enter();
-    Expected<Bytes> result = co_await run_op<Expected<Bytes>>(
-        trace::OpKind::kGet, "get", [this, &key](bool may_move) {
-          return may_move ? get_attempt(std::move(key)) : get_attempt(key);
-        });
-    inflight_exit();
-    permit.reset();
-    if (PendingOp* op = find_pending(id)) {
-      op->value.emplace(std::move(result));
-      op->done.open();
-    }
-  }
-
-  sim::Task<void> del_driver(std::uint64_t id, Bytes key) {
-    sim::SemaphoreLock permit =
-        co_await sim::SemaphoreLock::acquire(window_);
-    inflight_enter();
-    Status result = co_await run_op<Status>(
-        trace::OpKind::kDel, "del", [this, &key](bool may_move) {
-          return may_move ? del_attempt(std::move(key)) : del_attempt(key);
-        });
-    inflight_exit();
-    permit.reset();
-    if (PendingOp* op = find_pending(id)) {
-      op->status.emplace(std::move(result));
-      op->done.open();
-    }
+  /// Wait for the op behind `handle`, then release its slot. A Status
+  /// redeems a PUT/DEL handle, the value a GET handle.
+  template <typename Result>
+  sim::Task<Result> redeem(OpHandle handle) {
+    PendingOp* op = find_pending(handle.id);
+    EFAC_CHECK_MSG(op != nullptr, "unknown or already-redeemed op handle");
+    co_await op->done.wait();
+    EFAC_CHECK_MSG(std::holds_alternative<Result>(op->result),
+                   "await_status redeems PUT/DEL handles, await_value GETs");
+    Result out = std::get<Result>(std::move(op->result));
+    pending_.erase(handle.id);
+    co_return out;
   }
 
   /// Fallback batch PUT: submit every member through the async window and

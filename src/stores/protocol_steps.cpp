@@ -53,11 +53,39 @@ Expected<Bytes> decode_object(const Bytes& raw, std::size_t klen,
                raw.begin() + kv::ObjectLayout::kHeaderSize + klen + vlen);
 }
 
-ProtocolClient::ProtocolClient(StoreBase& store, const ClientOptions& options)
+ProtocolClient::ProtocolClient(StoreBase& store, const ClientOptions& options,
+                               bool charge_crc)
     : KvClient(store.simulator(), options),
       store_(store),
       conn_(store.simulator(), store.fabric(), store.node(), store.directory(),
-            store.next_qp_id(), &metrics_, &recorder_) {}
+            store.next_qp_id(), &metrics_, &recorder_),
+      charge_crc_(charge_crc) {}
+
+sim::Task<Status> ProtocolClient::put_attempt(Bytes key, Bytes value) {
+  ++stats_.puts;
+  TRACE_SPAN(tracer_, "put.total");
+  if (charge_crc_) co_await crc_pass(store_.config().crc.cost(value.size()));
+  const AllocRequest req = alloc_request(key, value);
+  const Expected<AllocResponse> resp = co_await alloc_rpc(req);
+  if (!resp) co_return resp.status();
+  co_return co_await write_value(resp->object_off, key.size(), value);
+}
+
+sim::Task<std::vector<Status>> ProtocolClient::put_batch_attempt(
+    std::vector<PutOp>& ops, const std::vector<std::uint32_t>& op_ids) {
+  TRACE_SPAN(tracer_, "put_batch.total");
+  if (charge_crc_) {
+    SimDuration cost = 0;
+    for (const PutOp& op : ops) {
+      cost += store_.config().crc.cost(op.value.size());
+    }
+    co_await crc_pass(cost);
+  }
+  const BatchAllocRequest breq = batch_request(ops);
+  const Expected<BatchAllocResponse> bresp = co_await batch_alloc_rpc(breq);
+  if (!bresp) co_return std::vector<Status>(ops.size(), bresp.status());
+  co_return co_await write_burst(ops, op_ids, *bresp);
+}
 
 sim::Task<Expected<AllocResponse>> ProtocolClient::alloc_rpc(
     const AllocRequest& req) {
@@ -152,11 +180,13 @@ sim::Task<std::vector<Status>> ProtocolClient::write_burst(
 }
 
 sim::Task<Expected<kv::HashDir::Entry>> ProtocolClient::probe_entry(
-    kv::HashDir& dir, std::uint64_t key_hash, const char* site) {
+    kv::HashDir& dir, std::uint64_t key_hash, const char* site,
+    std::size_t first_probe) {
   analysis::AccessGuard entry_guard(checker_,
                                     analysis::Guard::kMetaRevalidate, site);
-  std::size_t slot = dir.ideal_slot(key_hash);
-  for (std::size_t probe = 0; probe < kClientProbeLimit; ++probe) {
+  std::size_t slot =
+      (dir.ideal_slot(key_hash) + first_probe) & (dir.bucket_count() - 1);
+  for (std::size_t probe = first_probe; probe < kClientProbeLimit; ++probe) {
     metrics::Span entry_span{tracer_, "get.entry_read"};
     const Expected<Bytes> raw = co_await conn_.qp().read(
         store_.index_rkey(), dir.entry_offset(slot), kv::HashDir::kEntrySize);

@@ -75,10 +75,28 @@ struct SpannedDelay {
 };
 
 /// Client chassis: the store, one RPC connection (whose QP carries every
-/// one-sided verb), and the client protocol steps.
+/// one-sided verb), the client protocol steps, and the client-active PUTs
+/// the steps compose into.
 class ProtocolClient : public KvClient {
  protected:
-  ProtocolClient(StoreBase& store, const ClientOptions& options);
+  /// `charge_crc`: the system charges the client's CRC pass ("put.crc")
+  /// on its PUTs (eFactory, Erda, Forca). Without it the CRC still rides
+  /// in the alloc request, free of virtual time, for recovery checks.
+  ProtocolClient(StoreBase& store, const ClientOptions& options,
+                 bool charge_crc);
+
+  /// The client-active PUT: count it, run the CRC pass if charged, one
+  /// alloc RPC for the object, then a one-sided WRITE of the value into
+  /// it. Completion of the WRITE is the ack; durability is the server
+  /// policy's business.
+  sim::Task<Status> put_attempt(Bytes key, Bytes value) override;
+
+  /// The batch-reserve PUT (systems whose has_batch_put() is true): one
+  /// CRC pass over every member if charged, one kAllocBatch RPC reserving
+  /// every member, then one doorbell-coalesced burst of value WRITEs.
+  sim::Task<std::vector<Status>> put_batch_attempt(
+      std::vector<PutOp>& ops,
+      const std::vector<std::uint32_t>& op_ids) override;
 
   /// Pool-relative remote offset of absolute arena offset `off`.
   [[nodiscard]] MemOffset pool_off(MemOffset off) noexcept {
@@ -89,20 +107,6 @@ class ProtocolClient : public KvClient {
   [[nodiscard]] MemOffset value_off(MemOffset object_off,
                                     std::size_t klen) noexcept {
     return pool_off(object_off + kv::ObjectLayout::kHeaderSize + klen);
-  }
-
-  /// The client computes the CRC it embeds in the object ("put.crc").
-  [[nodiscard]] SpannedDelay crc_pass(SimDuration cost) {
-    return {metrics::Span{tracer_, "put.crc"}, sim::delay(sim_, cost)};
-  }
-  [[nodiscard]] SimDuration crc_cost(std::size_t value_bytes) const {
-    return store_.config().crc.cost(value_bytes);
-  }
-  /// One CRC pass over every member's value (batch-reserve PUTs).
-  [[nodiscard]] SimDuration crc_cost(const std::vector<PutOp>& ops) const {
-    SimDuration cost = 0;
-    for (const PutOp& op : ops) cost += crc_cost(op.value.size());
-    return cost;
   }
 
   /// One kAlloc round trip ("put.alloc_rpc"). A non-OK server status is
@@ -123,24 +127,15 @@ class ProtocolClient : public KvClient {
   sim::Task<Expected<BatchAllocResponse>> batch_alloc_rpc(
       const BatchAllocRequest& breq);
 
-  /// Doorbell-coalesced burst of one-sided value WRITEs for the reserved
-  /// members ("put.data_write"): the head WR pays the full post overhead,
-  /// later ones only the doorbell; per-QP FIFO ordering means awaiting the
-  /// latest completion covers the whole burst. With an armed fault
-  /// injector every WRITE is awaited on its own, so each member sees its
-  /// own tear/lost-completion outcome. Returns one status per member.
-  sim::Task<std::vector<Status>> write_burst(
-      std::vector<PutOp>& ops, const std::vector<std::uint32_t>& op_ids,
-      const BatchAllocResponse& bresp);
-
-  /// Client-side linear probing over a HashDir: READ entries from the
-  /// key's ideal slot ("get.entry_read" each, at most 16) until the key's
-  /// entry or an empty slot. Entries race with index updates and are
-  /// validated by key hash before they are trusted (kMetaRevalidate at
-  /// `site`). kNotFound when the key has no current version.
-  sim::Task<Expected<kv::HashDir::Entry>> probe_entry(kv::HashDir& dir,
-                                                      std::uint64_t key_hash,
-                                                      const char* site);
+  /// Client-side linear probing over a HashDir: READ entries from probe
+  /// `first_probe` past the key's ideal slot ("get.entry_read" each; 16
+  /// probes at most, counted from the ideal slot) until the key's entry or
+  /// an empty slot. Entries race with index updates and are validated by
+  /// key hash before they are trusted (kMetaRevalidate at `site`).
+  /// kNotFound when the key has no current version within the limit.
+  sim::Task<Expected<kv::HashDir::Entry>> probe_entry(
+      kv::HashDir& dir, std::uint64_t key_hash, const char* site,
+      std::size_t first_probe = 0);
 
   /// One-sided READ of a whole object at absolute offset `off`
   /// ("get.object_read"), under the caller's sanitizer guard for how the
@@ -151,6 +146,24 @@ class ProtocolClient : public KvClient {
 
   StoreBase& store_;
   rpc::Connection conn_;
+
+ private:
+  /// The client computes the CRC it embeds in the object ("put.crc").
+  [[nodiscard]] SpannedDelay crc_pass(SimDuration cost) {
+    return {metrics::Span{tracer_, "put.crc"}, sim::delay(sim_, cost)};
+  }
+
+  /// Doorbell-coalesced burst of one-sided value WRITEs for the reserved
+  /// members ("put.data_write"): the head WR pays the full post overhead,
+  /// later ones only the doorbell; per-QP FIFO ordering means awaiting the
+  /// latest completion covers the whole burst. With an armed fault
+  /// injector every WRITE is awaited on its own, so each member sees its
+  /// own tear/lost-completion outcome. Returns one status per member.
+  sim::Task<std::vector<Status>> write_burst(
+      std::vector<PutOp>& ops, const std::vector<std::uint32_t>& op_ids,
+      const BatchAllocResponse& bresp);
+
+  bool charge_crc_;
 };
 
 // ================================================================= server

@@ -44,7 +44,8 @@ namespace {
 class RcommitClient final : public ProtocolClient {
  public:
   RcommitClient(RcommitStore& store, const ClientOptions& options)
-      : ProtocolClient(store, options), rcommit_(store) {}
+      : ProtocolClient(store, options, /*charge_crc=*/false),
+        rcommit_(store) {}
 
   sim::Task<Status> put_attempt(Bytes key, Bytes value) override {
     ++stats_.puts;
@@ -111,9 +112,7 @@ class RcommitClient final : public ProtocolClient {
     Expected<Bytes> value =
         decode_object(*raw_obj, klen_hint_, vlen_hint_, key_hash);
     if (!value) co_return value.status();
-    ++stats_.gets_pure_rdma;
-    recorder_.emit(trace::EventType::kGetPath,
-                   static_cast<std::uint8_t>(trace::GetPath::kFastOneSided));
+    note_get_path(trace::GetPath::kFastOneSided);
     co_return value;
   }
 

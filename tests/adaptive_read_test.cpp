@@ -7,8 +7,10 @@
 // plan with the retry engine armed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "fault/fault.hpp"
 #include "metrics/json.hpp"
@@ -18,6 +20,7 @@
 #include "stores/adaptive.hpp"
 #include "stores/efactory.hpp"
 #include "stores/factory.hpp"
+#include "trace/event_log.hpp"
 #include "workload/runner.hpp"
 
 namespace efac::stores {
@@ -145,6 +148,68 @@ TEST(AdaptiveOffsetRecord, LearnedFromALocateReply) {
   EXPECT_EQ(t.client->stats().gets_pure_rdma, 1u);
   EXPECT_EQ(counter(*t.client, "read.adaptive.spec_pairs"), 1u);
   EXPECT_EQ(counter(*t.client, "read.adaptive.spec_hits"), 1u);
+}
+
+// ------------------------------------------------------------ probe budget
+
+std::uint64_t span_count(const KvClient& client, const char* name) {
+  const Histogram* h = client.metrics().find_histogram(name);
+  return h != nullptr ? h->count() : 0;
+}
+
+// The pair READ is probe 0 of the client's 16. A predicted key that lies
+// past the 16 entries from its ideal slot costs one pair READ and 15
+// entry READs, then the GET falls back to the locate RPC as an entry miss.
+TEST(AdaptivePairRead, CountsAgainstTheSixteenProbes) {
+  StoreConfig config;
+  config.hash_buckets = 64;
+  config.trace.enabled = true;
+  AdaptiveStore t{config};
+  ClusterWiring wiring;
+  wiring.trace_log = t.store->trace_log();
+  t.client->attach(wiring);
+
+  // Sixteen keys that share the target's ideal slot fill it and the 15
+  // slots after it, so the target lands 16 slots past its ideal slot.
+  const Bytes key(16, 'k');
+  const std::uint64_t home = kv::hash_key(key) & (config.hash_buckets - 1);
+  std::vector<Bytes> blockers;
+  for (int i = 0; blockers.size() < 16; ++i) {
+    Bytes other(16, 'b');
+    const std::string tag = std::to_string(i);
+    std::copy(tag.begin(), tag.end(), other.begin());
+    if ((kv::hash_key(other) & (config.hash_buckets - 1)) == home) {
+      blockers.push_back(other);
+    }
+  }
+  const Bytes value(kValueLen, 'v');
+  for (const Bytes& other : blockers) t.put(other, value);
+  t.put(key, value);
+  t.sim->run_until(t.sim->now() + timeconst::kMillisecond);  // verified
+
+  // No prediction yet: 16 entry READs, then the locate reply records the
+  // key's offset.
+  get_and_check(*t.sim, *t.client, key, value);
+  EXPECT_EQ(span_count(*t.client, "span.get.entry_read"), 16u);
+  EXPECT_EQ(counter(*t.client, "read.adaptive.spec_pairs"), 0u);
+
+  // Held prediction: the pair READ at the ideal slot finds a blocker, and
+  // the probe goes on from probe 1.
+  get_and_check(*t.sim, *t.client, key, value);
+  EXPECT_EQ(counter(*t.client, "read.adaptive.spec_pairs"), 1u);
+  EXPECT_EQ(counter(*t.client, "read.adaptive.spec_hits"), 0u);
+  EXPECT_EQ(span_count(*t.client, "span.get.spec_read"), 1u);
+  EXPECT_EQ(span_count(*t.client, "span.get.entry_read"), 16u + 15u);
+  EXPECT_EQ(t.client->stats().gets_rpc_path.value(), 2u);
+
+  std::vector<trace::GetPath> paths;
+  for (const trace::Event& e : t.store->trace_log()->snapshot().events) {
+    if (e.type == static_cast<std::uint8_t>(trace::EventType::kGetPath)) {
+      paths.push_back(static_cast<trace::GetPath>(e.aux));
+    }
+  }
+  EXPECT_EQ(paths, (std::vector<trace::GetPath>{trace::GetPath::kEntryMiss,
+                                                trace::GetPath::kEntryMiss}));
 }
 
 // -------------------------------------------------------------- end to end

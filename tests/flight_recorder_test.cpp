@@ -4,6 +4,7 @@
 // validator; the binary dump round-trips; the ring drops oldest-first.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -339,6 +340,31 @@ TEST(FlightRecorder, ProtocolPathStreamsMatchGoldenDigests) {
     EXPECT_EQ(fnv1a(to_binary({run.snapshot})), c.digest)
         << stores::to_string(c.kind) << (c.adaptive ? " (adaptive)" : "")
         << ": 0x" << std::hex << fnv1a(to_binary({run.snapshot}));
+  }
+}
+
+// Every GET notes its read path once: the kGetPath events count the
+// GETs, the one-sided reason counts the pure-RDMA GETs, and every other
+// reason counts the RPC-path GETs.
+TEST(FlightRecorder, GetPathEventsMatchReadCounters) {
+  for (const SystemKind kind : stores::all_systems()) {
+    for (const bool adaptive : {false, true}) {
+      if (adaptive && kind != SystemKind::kEFactory) continue;
+      const ProtocolRun run = run_protocol_paths(kind, adaptive);
+      std::uint64_t paths = 0;
+      std::uint64_t fast = 0;
+      for (const Event& e : run.snapshot.events) {
+        if (e.type != static_cast<std::uint8_t>(EventType::kGetPath)) continue;
+        ++paths;
+        if (e.aux == static_cast<std::uint8_t>(GetPath::kFastOneSided)) ++fast;
+      }
+      const std::string name = std::string{stores::to_string(kind)} +
+                               (adaptive ? " (adaptive)" : "");
+      EXPECT_GT(run.gets, 0u) << name;
+      EXPECT_EQ(paths, run.gets) << name;
+      EXPECT_EQ(fast, run.gets_pure_rdma) << name;
+      EXPECT_EQ(paths - fast, run.gets_rpc_path) << name;
+    }
   }
 }
 

@@ -104,6 +104,12 @@ class ScriptedClient final : public stores::KvClient {
   }
   // del_attempt deliberately not overridden: exercises the kUnimplemented
   // default below.
+  // Never reached: has_batch_put() is false, so put_batch pipelines the
+  // members through put_attempt.
+  sim::Task<std::vector<Status>> put_batch_attempt(
+      std::vector<PutOp>&, const std::vector<std::uint32_t>&) override {
+    co_return std::vector<Status>{};
+  }
 
  private:
   StatusCode next() {
