@@ -856,6 +856,13 @@ def check_span_finish(fn: FunctionInfo, report) -> None:
 # =====================================================================
 
 LAMBDA_INTRO_RE = re.compile(r"\[")
+# `auto [a, b]`, `auto& [a, b]`, `auto&& [a, b]`: a structured binding
+# declaration, not a lambda introducer.
+BINDING_INTRO_RE = re.compile(r"(?<!\w)auto\s*&{0,2}\s*$")
+
+
+def _is_binding(code: str, i: int) -> bool:
+    return BINDING_INTRO_RE.search(code[max(0, i - 32):i]) is not None
 
 
 def _lambda_capture_end(code: str, i: int) -> int:
@@ -882,6 +889,8 @@ def find_coro_lambda_captures(masked: str, path: str, linemap: LineMap):
         if prev and (prev.isalnum() or prev in "_])"):
             continue
         if masked[i:i + 2] == "[[" or masked[i - 1:i] == "[":  # attribute
+            continue
+        if _is_binding(masked, i):
             continue
         close = _lambda_capture_end(masked, i)
         if close < 0:
@@ -928,6 +937,8 @@ def _blank_nested_lambdas(body: str) -> str:
         i = m.start()
         prev = body[:i].rstrip()[-1:] or ""
         if prev and (prev.isalnum() or prev in "_])"):
+            continue
+        if _is_binding(body, i):
             continue
         close = _lambda_capture_end(body, i)
         if close < 0:

@@ -2,7 +2,8 @@
 // object (where captures live) is destroyed once the coroutine suspends;
 // every capture dangles on resume. Cases 1-3 are the shapes a regex over
 // `[captures](params) -> Task<` misses; cases 4-9 are the shapes such a
-// regex does catch, kept here so EFAC005 is pinned on both.
+// regex does catch, kept here so EFAC005 is pinned on both. Case 10 is a
+// structured binding in the body, which once hid the capture.
 namespace sim {
 template <typename T>
 struct Task {
@@ -68,6 +69,15 @@ void spawn_all(Server& server, int arr[4], int i) {
     co_return;
   };
 
+  // 10. a structured binding in the body was taken for a nested lambda:
+  //     its loop body (and the co_await in it) was blanked, so the real
+  //     capture went unreported and the binding was reported instead
+  auto bad_binding = [i, &server](Server* list) -> sim::Task<void> {  // EXPECT: EFAC005
+    for (const auto& [k, v] : list) {
+      co_await server_ready(k + v + i);
+    }
+  };
+
   // capture-free coroutine lambdas are the sanctioned pattern
   auto good = [](Server& s) -> sim::Task<void> {
     co_await server_ready(s);
@@ -86,6 +96,7 @@ void spawn_all(Server& server, int arr[4], int i) {
   (void)bad_unqualified;
   (void)bad_qualified;
   (void)bad_multiline;
+  (void)bad_binding;
   (void)good;
   (void)also_good;
 }

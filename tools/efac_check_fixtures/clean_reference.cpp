@@ -83,3 +83,18 @@ bool decode_comma_guarded_tail(ByteReader& r) {
       (EFAC_WIRE_TAIL("clean.hint"), !r.exhausted() && r.get_u8() != 0);
   return hint;
 }
+
+// A structured binding is not a lambda introducer: this capture-free
+// coroutine lambda loops over bindings around a co_await and captures
+// nothing (the shape of examples/log_cleaning_demo.cpp).
+struct Pairs {};
+void bindings_in_coroutine_lambda(Pairs& pairs) {
+  auto drain = [](Pairs& m) -> sim::Task<void> {
+    for (const auto& [k, version] : m) {
+      co_await settle(k, version);
+    }
+    for (auto&& [k, v] : m) co_await settle(k, v);
+  };
+  (void)drain;
+  (void)pairs;
+}
