@@ -1,63 +1,21 @@
 #include "metrics/telemetry.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 
 #include "common/assert.hpp"
 #include "common/json_reader.hpp"
+#include "common/json_writer.hpp"
 #include "sim/simulator.hpp"
 
 namespace efac::metrics {
 namespace {
 
+using json::append_double;
+using json::append_escaped;
+using json::append_u64;
 using json::Parser;
 
 constexpr std::string_view kTelemetrySchema = "efac.telemetry.v1";
-
-// -------------------------------------------------------- JSON primitives
-// Same file-local writer helpers as metrics/json.cpp (deliberately static
-// there; the few lines are cheaper than a shared header).
-
-void append_escaped(std::string& out, std::string_view text) {
-  out += '"';
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-void append_double(std::string& out, double value) {
-  if (!std::isfinite(value)) value = 0.0;
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.9g", value);
-  out += buf;
-}
-
-void append_u64(std::string& out, std::uint64_t value) {
-  out += std::to_string(value);
-}
 
 }  // namespace
 

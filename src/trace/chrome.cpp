@@ -5,38 +5,12 @@
 #include <ostream>
 
 #include "common/json_reader.hpp"
+#include "common/json_writer.hpp"
 
 namespace efac::trace {
 namespace {
 
-void append_escaped(std::string& out, std::string_view text) {
-  out += '"';
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
+using json::append_escaped;
 
 /// Virtual ns → trace-event µs, with enough digits to keep ns resolution.
 void append_us(std::string& out, std::uint64_t ns) {
