@@ -52,11 +52,9 @@ std::vector<trace::EventLog::Snapshot> g_trace_snapshots;
 // --batch= state (default 1 = plain sync ops through the runner).
 std::size_t g_batch = 1;
 
-// --telemetry state: sampler on/off, an optional period override (0 =
-// keep the TelemetryOptions default), and the snapshots adopted from each
+// --telemetry state: sampler on/off and the snapshots adopted from each
 // sampled run, in measurement order.
 bool g_telemetry = false;
-SimDuration g_telem_period = 0;
 std::vector<metrics::TelemetrySnapshot> g_telem_snapshots;
 
 }  // namespace
@@ -90,7 +88,6 @@ bool telemetry_requested() { return g_telemetry; }
 void maybe_enable_telemetry(stores::StoreConfig& config) {
   if (!g_telemetry) return;
   config.telemetry.enabled = true;
-  if (g_telem_period > 0) config.telemetry.period_ns = g_telem_period;
 }
 
 void maybe_adopt_telemetry(stores::StoreBase& store, std::string label) {
@@ -480,21 +477,8 @@ int bench_main(int argc, char** argv, std::string_view figure) {
     constexpr std::string_view kSystemFlag = "--system=";
     constexpr std::string_view kTraceFlag = "--trace-out=";
     constexpr std::string_view kBatchFlag = "--batch=";
-    constexpr std::string_view kTelemetryFlag = "--telemetry";
-    if (arg == kTelemetryFlag || arg.rfind("--telemetry=", 0) == 0) {
+    if (arg == "--telemetry") {
       g_telemetry = true;
-      if (arg.size() > kTelemetryFlag.size()) {
-        const std::string value{arg.substr(kTelemetryFlag.size() + 1)};
-        char* end = nullptr;
-        const unsigned long long parsed =
-            std::strtoull(value.c_str(), &end, 10);
-        if (value.empty() || end == nullptr || *end != '\0' || parsed == 0) {
-          std::cerr << "--telemetry= needs a period in virtual ns"
-                    << std::endl;
-          return 1;
-        }
-        g_telem_period = static_cast<SimDuration>(parsed);
-      }
       continue;
     }
     if (arg.rfind(kBatchFlag, 0) == 0) {

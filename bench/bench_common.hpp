@@ -67,7 +67,7 @@ void maybe_enable_trace(stores::StoreConfig& config);
 /// Snapshot the store's event log under `label` (no-op unless tracing).
 void maybe_adopt_trace(stores::StoreBase& store, std::string label);
 
-/// --telemetry[=<period_ns>] support (parsed and stripped by bench_main).
+/// --telemetry support (parsed and stripped by bench_main).
 /// When active, the measurement helpers run their clusters with the
 /// virtual-time sampler on and adopt one labelled snapshot per run;
 /// bench_main validates and writes the combined efac.telemetry.v1 document

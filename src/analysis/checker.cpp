@@ -167,7 +167,7 @@ void Checker::add_violation(Violation v, bool durability) {
     ++unguarded_total_;
     ++stats_.races_unguarded;
   }
-  if (violations_.size() < options_.max_reports) violations_.push_back(v);
+  if (violations_.size() < kMaxReports) violations_.push_back(v);
   if (options_.fail_fast) {
     std::string msg = "analysis violation: ";
     render(v, msg);
@@ -446,7 +446,7 @@ std::string Checker::report() const {
   if (total > violations_.size()) {
     os << "  ... " << (total - violations_.size())
        << " further violation(s) not retained (max_reports="
-       << options_.max_reports << ")\n";
+       << kMaxReports << ")\n";
   }
   return os.str();
 }

@@ -94,6 +94,10 @@ struct Violation {
 /// HbHooks and to the Arena as its access observer.
 class Checker final : public sim::HbHooks {
  public:
+  /// Violation records retained verbatim; any beyond are still counted in
+  /// the totals but not stored.
+  static constexpr std::size_t kMaxReports = 64;
+
   /// `registry` hosts the "analysis.*" counters (pass the store's registry
   /// so they land next to server counters; nullptr → private registry).
   Checker(sim::Simulator& sim, AnalysisOptions options,

@@ -4,8 +4,6 @@
 // without pulling the checker implementation into every translation unit.
 #pragma once
 
-#include <cstddef>
-
 namespace efac::analysis {
 
 /// Configuration of the happens-before race / durability-lint checker.
@@ -23,9 +21,6 @@ struct AnalysisOptions {
   /// durability (dropped/deferred persists, torn writes surviving to a
   /// flag-set) would otherwise trip it; the race rules stay active.
   bool allow_unflushed_durability = false;
-  /// Retain at most this many violation records verbatim; anything beyond
-  /// is still counted in the totals but not stored.
-  std::size_t max_reports = 64;
 };
 
 }  // namespace efac::analysis

@@ -26,9 +26,7 @@ TelemetrySampler::TelemetrySampler(sim::Simulator& sim,
                                    TelemetryOptions options)
     : sim_(sim),
       options_(std::move(options)),
-      samples_counter_(registry.counter("telemetry.samples")) {
-  if (options_.period_ns == 0) options_.period_ns = 1;
-}
+      samples_counter_(registry.counter("telemetry.samples")) {}
 
 TelemetrySampler::~TelemetrySampler() { *alive_ = false; }
 
@@ -41,7 +39,7 @@ void TelemetrySampler::start() {
 void TelemetrySampler::stop() { started_ = false; }
 
 void TelemetrySampler::arm() {
-  sim_.call_after(options_.period_ns, [this, alive = alive_] {
+  sim_.call_after(kPeriodNs, [this, alive = alive_] {
     if (!*alive || !started_) return;
     sample_now();
     arm();
@@ -124,11 +122,11 @@ void TelemetrySampler::sample_now() {
 TelemetrySnapshot TelemetrySampler::snapshot(std::string label) const {
   TelemetrySnapshot snap;
   snap.label = std::move(label);
-  snap.period_ns = options_.period_ns;
+  snap.period_ns = kPeriodNs;
   snap.samples = samples_;
   snap.dropped = dropped();
   snap.start_ns =
-      samples_ == 0 ? 0 : first_tick_ns_ + snap.dropped * options_.period_ns;
+      samples_ == 0 ? 0 : first_tick_ns_ + snap.dropped * kPeriodNs;
   for (const SeriesState& s : series_) {
     snap.series.push_back(TelemetrySnapshot::Series{
         s.name, s.kind, {s.ring.begin(), s.ring.end()}});

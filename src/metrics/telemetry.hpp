@@ -84,9 +84,13 @@ class TelemetrySampler {
   /// the registering component (conventionally `this`).
   using Owner = const void*;
 
+  /// Virtual time between samples: a few hundred points across a
+  /// typical bench measurement window.
+  static constexpr SimDuration kPeriodNs = 2 * timeconst::kMicrosecond;
+
   /// Ring capacity per series: only the most recent kCapacity samples are
   /// retained; older points are dropped and accounted in dropped(). Large
-  /// enough to hold every point of the Fig. 2 bench at the default period.
+  /// enough to hold every point of the Fig. 2 bench at kPeriodNs.
   static constexpr std::size_t kCapacity = 16384;
 
   /// `registry` receives the sampler's own accounting counter

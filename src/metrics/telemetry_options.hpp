@@ -7,8 +7,6 @@
 
 #include <string>
 
-#include "common/types.hpp"
-
 namespace efac::metrics {
 
 /// Options for the per-store telemetry sampler (see metrics/telemetry.hpp
@@ -19,10 +17,6 @@ struct TelemetryOptions {
   /// Master switch. When false the store keeps a null sampler pointer and
   /// every probe site reduces to one branch.
   bool enabled = false;
-
-  /// Virtual time between samples. The default (2 µs) gives a few hundred
-  /// points across a typical bench measurement window.
-  SimDuration period_ns = 2 * timeconst::kMicrosecond;
 
   /// Prefix applied to every series name (sharded clusters use "s<i>/" so
   /// per-shard timelines stay distinguishable after aggregation).

@@ -34,8 +34,8 @@ StoreBase::StoreBase(sim::Simulator& sim, StoreConfig config,
   // construction order (deterministic): server first, faults second,
   // system-specific actors and clients after.
   if (config_.trace.enabled) {
-    trace_log_ = std::make_unique<trace::EventLog>(
-        sim_, config_.trace.capacity, config_.trace.actor_prefix);
+    trace_log_ =
+        std::make_unique<trace::EventLog>(sim_, config_.trace.actor_prefix);
     server_rec_.attach(trace_log_.get(), "server");
     fault_rec_.attach(trace_log_.get(), "faults");
   }

@@ -22,10 +22,9 @@ const char* const kGetPathNames[static_cast<std::size_t>(
     "flag unset",     "index-entry miss", "read error",
 };
 
-EventLog::EventLog(sim::Simulator& sim, std::size_t capacity,
-                   std::string actor_prefix)
+EventLog::EventLog(sim::Simulator& sim, std::string actor_prefix)
     : sim_(sim), actor_prefix_(std::move(actor_prefix)) {
-  ring_.reserve(capacity == 0 ? 1 : capacity);
+  ring_.reserve(kCapacity);
 }
 
 std::uint16_t EventLog::register_track(std::string name) {
@@ -43,12 +42,12 @@ void EventLog::emit(std::uint16_t track, std::uint32_t op, EventType type,
   e.track = track;
   e.type = static_cast<std::uint8_t>(type);
   e.aux = aux;
-  if (ring_.size() < ring_.capacity()) {
+  if (ring_.size() < kCapacity) {
     ring_.push_back(e);
   } else {
     // Overwrite the oldest slot: the ring holds the most recent
-    // `capacity` events, which is the right bias for tail forensics.
-    ring_[total_ % ring_.capacity()] = e;
+    // kCapacity events, which is the right bias for tail forensics.
+    ring_[total_ % kCapacity] = e;
   }
   ++total_;
 }
@@ -59,10 +58,10 @@ EventLog::Snapshot EventLog::snapshot(std::string label) const {
   snap.tracks = tracks_;
   snap.dropped = dropped();
   snap.events.reserve(ring_.size());
-  if (total_ <= ring_.capacity()) {
+  if (total_ <= kCapacity) {
     snap.events = ring_;
   } else {
-    const std::size_t head = total_ % ring_.capacity();
+    const std::size_t head = total_ % kCapacity;
     snap.events.insert(snap.events.end(), ring_.begin() + static_cast<std::ptrdiff_t>(head),
                        ring_.end());
     snap.events.insert(snap.events.end(), ring_.begin(),

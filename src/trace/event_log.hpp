@@ -105,11 +105,14 @@ static_assert(sizeof(Event) == 32, "Event must stay a 32-byte POD");
 /// clients) appends to the same log so the exporters see a global order.
 class EventLog {
  public:
+  /// Ring capacity in events (32 bytes each). Once full, each new event
+  /// overwrites the oldest; the drop count is kept for the exporters.
+  static constexpr std::size_t kCapacity = 1u << 15;
+
   /// `actor_prefix` is prepended to every registered track name (empty =
   /// names unchanged); sharded clusters pass "s<shard>/" so tracks from
   /// different shards stay distinguishable when snapshots are merged.
-  EventLog(sim::Simulator& sim, std::size_t capacity,
-           std::string actor_prefix = {});
+  explicit EventLog(sim::Simulator& sim, std::string actor_prefix = {});
 
   /// Register an actor track; returns its id. Registration order is
   /// deterministic (construction order), which keeps exports stable.
@@ -140,7 +143,7 @@ class EventLog {
     return total_;
   }
   [[nodiscard]] std::uint64_t dropped() const noexcept {
-    return total_ > ring_.capacity() ? total_ - ring_.capacity() : 0;
+    return total_ > kCapacity ? total_ - kCapacity : 0;
   }
   [[nodiscard]] const std::vector<std::string>& tracks() const noexcept {
     return tracks_;
@@ -160,7 +163,7 @@ class EventLog {
 
  private:
   sim::Simulator& sim_;
-  std::vector<Event> ring_;  ///< reserve(capacity) up front
+  std::vector<Event> ring_;  ///< reserve(kCapacity) up front
   std::string actor_prefix_;
   std::vector<std::string> tracks_;
   std::uint64_t total_ = 0;

@@ -3,7 +3,6 @@
 // not pull in the event-log machinery.
 #pragma once
 
-#include <cstddef>
 #include <string>
 
 namespace efac::trace {
@@ -12,9 +11,6 @@ struct TraceOptions {
   /// Off by default: no EventLog is created and every emission site
   /// reduces to one null-pointer test.
   bool enabled = false;
-  /// Ring capacity in events (32 bytes each). Oldest events are dropped
-  /// once full; the drop count is kept for the exporters.
-  std::size_t capacity = 1u << 15;
   /// Prepended to every actor track name registered on this store's
   /// EventLog ("s2/" turns "server" into "s2/server"). Sharded clusters
   /// set "s<shard>/" so each shard's actors stay distinguishable in

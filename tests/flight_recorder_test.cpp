@@ -278,18 +278,19 @@ TEST(FlightRecorder, RejectedDumpLeavesOutputEmpty) {
 
 TEST(FlightRecorder, RingDropsOldestFirstAndCountsDrops) {
   sim::Simulator sim;
-  EventLog log{sim, 8};
+  EventLog log{sim};
   const std::uint16_t track = log.register_track("t");
-  for (std::uint64_t i = 0; i < 20; ++i) {
+  constexpr std::uint64_t kEmitted = EventLog::kCapacity + 12;
+  for (std::uint64_t i = 0; i < kEmitted; ++i) {
     log.emit(track, 0, EventType::kFault, 0, /*a=*/i);
   }
-  EXPECT_EQ(log.total_emitted(), 20u);
+  EXPECT_EQ(log.total_emitted(), kEmitted);
   EXPECT_EQ(log.dropped(), 12u);
   const EventLog::Snapshot snap = log.snapshot();
-  ASSERT_EQ(snap.events.size(), 8u);
+  ASSERT_EQ(snap.events.size(), EventLog::kCapacity);
   EXPECT_EQ(snap.dropped, 12u);
-  // The survivors are the 8 most recent, in emission order.
-  for (std::size_t i = 0; i < 8; ++i) {
+  // The survivors are the kCapacity most recent, in emission order.
+  for (std::size_t i = 0; i < EventLog::kCapacity; ++i) {
     EXPECT_EQ(snap.events[i].a, 12 + i);
   }
 }

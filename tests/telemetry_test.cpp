@@ -25,7 +25,6 @@ TEST(TelemetrySampler, CounterDeltasAndGaugeProbes) {
   MetricsRegistry registry;
   TelemetryOptions options;
   options.enabled = true;
-  options.period_ns = 1000;
   TelemetrySampler sampler{sim, registry, options};
 
   Counter& reqs = registry.counter("server.requests");
@@ -103,7 +102,6 @@ TEST(TelemetrySampler, RingDropsOldestAndAccountsForThem) {
   MetricsRegistry registry;
   TelemetryOptions options;
   options.enabled = true;
-  options.period_ns = 100;
   TelemetrySampler sampler{sim, registry, options};
 
   Counter& c = registry.counter("c");
@@ -128,7 +126,7 @@ TEST(TelemetrySampler, RingDropsOldestAndAccountsForThem) {
   EXPECT_EQ(points.back(), static_cast<double>(kTicks));
   // start_ns shifts past the evicted ticks (all taken at t=0 here, so it
   // is the drop count times the period).
-  EXPECT_EQ(snap.start_ns, 6u * 100u);
+  EXPECT_EQ(snap.start_ns, 6u * TelemetrySampler::kPeriodNs);
 }
 
 TEST(TelemetrySampler, DropSourcesStopsContributions) {
@@ -159,18 +157,18 @@ TEST(TelemetrySampler, PeriodicEventSamplesOnTheSimClock) {
   MetricsRegistry registry;
   TelemetryOptions options;
   options.enabled = true;
-  options.period_ns = 1000;
   TelemetrySampler sampler{sim, registry, options};
   Counter& c = registry.counter("c");
   sampler.add_counter_source(&registry, "c", c);
 
+  constexpr SimDuration kPeriod = TelemetrySampler::kPeriodNs;
   sampler.start();
-  sim.run_until(4500);
+  sim.run_until(4 * kPeriod + kPeriod / 2);
   EXPECT_EQ(sampler.samples_taken(), 4u);
 
   // stop() disarms: the queued tick becomes a no-op.
   sampler.stop();
-  sim.run_until(10'000);
+  sim.run_until(10 * kPeriod);
   EXPECT_EQ(sampler.samples_taken(), 4u);
 }
 
@@ -347,7 +345,6 @@ workload::RunOptions e2e_options() {
   options.clients = 4;
   options.ops_per_client = 200;
   options.telemetry.enabled = true;
-  options.telemetry.period_ns = 2 * timeconst::kMicrosecond;
   return options;
 }
 
