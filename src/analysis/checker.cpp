@@ -445,7 +445,7 @@ std::string Checker::report() const {
   const std::uint64_t total = unguarded_total_ + durability_total_;
   if (total > violations_.size()) {
     os << "  ... " << (total - violations_.size())
-       << " further violation(s) not retained (max_reports="
+       << " further violation(s) not retained (kMaxReports="
        << kMaxReports << ")\n";
   }
   return os.str();

@@ -13,15 +13,22 @@
 //   batch_alloc_rpc                       reserve_each   kAllocBatch body
 //   write_value   "put.data_write"        persist_and_index  flush, fence,
 //   write_burst   coalesced WRITE burst                  then index entry
-//   probe_entry   "get.entry_read" ×16    collect_versions   version walk
+//   probe_entry   "get.entry_read" ≤16    collect_versions   version walk
 //   read_object   "get.object_read"       recover_newest     post-crash GET
 //   decode_object (plain CPU)
 //
+// ProtocolClient composes the client steps into the two client-active
+// PUTs the systems share (the CRC pass only where the system charges it):
+//
+//   put_attempt        [crc_pass] → alloc_request → alloc_rpc → write_value
+//   put_batch_attempt  [crc_pass] → batch_request → batch_alloc_rpc
+//                      → write_burst
+//
 // Request building, offset math and decoding are plain functions; only
 // steps that actually suspend are sim::Tasks. Steps take data, never a
-// system identity: extra per-system work (IMM's ack arming, sanitizer
-// guard kinds and site labels) is done by the caller around the step or
-// passed in as a parameter.
+// system identity: extra per-system work (sanitizer guard kinds and site
+// labels, the probe to start from, whether the CRC pass is charged) is
+// passed in as a parameter or done by the caller around the step.
 #pragma once
 
 #include <array>
