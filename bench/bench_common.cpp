@@ -1,6 +1,5 @@
 #include "bench_common.hpp"
 
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -49,9 +48,6 @@ std::string point_prefix(std::string_view op, SystemKind kind,
 std::string g_trace_path;
 std::vector<trace::EventLog::Snapshot> g_trace_snapshots;
 
-// --batch= state (default 1 = plain sync ops through the runner).
-std::size_t g_batch = 1;
-
 // --telemetry state: sampler on/off and the snapshots adopted from each
 // sampled run, in measurement order.
 bool g_telemetry = false;
@@ -68,8 +64,6 @@ metrics::MetricsRegistry& shard_sink() {
   static metrics::MetricsRegistry sink;
   return sink;
 }
-
-std::size_t batch_size() { return g_batch; }
 
 bool trace_requested() { return !g_trace_path.empty(); }
 
@@ -215,7 +209,6 @@ workload::RunResult throughput_run(SystemKind kind, workload::Mix mix,
   options.workload.seed = seed;
   options.clients = clients;
   options.ops_per_client = ops_per_client;
-  options.batch = batch_size();
   options.client = std::move(client);
 
   auto sim = std::make_unique<sim::Simulator>();
@@ -255,7 +248,6 @@ workload::RunResult sharded_throughput_run(SystemKind kind,
   options.workload.zipf_theta = zipf_theta;
   options.clients = clients;
   options.ops_per_client = ops_per_client;
-  options.batch = batch_size();
 
   auto sim = std::make_unique<sim::Simulator>();
   stores::ClusterConfig cluster_config;
@@ -476,20 +468,8 @@ int bench_main(int argc, char** argv, std::string_view figure) {
     const std::string_view arg{argv[i]};
     constexpr std::string_view kSystemFlag = "--system=";
     constexpr std::string_view kTraceFlag = "--trace-out=";
-    constexpr std::string_view kBatchFlag = "--batch=";
     if (arg == "--telemetry") {
       g_telemetry = true;
-      continue;
-    }
-    if (arg.rfind(kBatchFlag, 0) == 0) {
-      const std::string value{arg.substr(kBatchFlag.size())};
-      char* end = nullptr;
-      const unsigned long parsed = std::strtoul(value.c_str(), &end, 10);
-      if (value.empty() || end == nullptr || *end != '\0' || parsed == 0) {
-        std::cerr << "--batch= needs a positive integer" << std::endl;
-        return 1;
-      }
-      g_batch = static_cast<std::size_t>(parsed);
       continue;
     }
     if (arg.rfind(kTraceFlag, 0) == 0) {

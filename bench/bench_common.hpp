@@ -49,10 +49,6 @@ metrics::MetricsRegistry& metrics_sink();
 /// (beside the figure's own export).
 metrics::MetricsRegistry& shard_sink();
 
-/// Batch size for the workload-runner mixes, from --batch=N (parsed and
-/// stripped by bench_main; default 1 = plain sync ops).
-std::size_t batch_size();
-
 /// --trace-out=<path> support (the flag is parsed by bench_main): when
 /// active, the measurement helpers run their clusters with the flight
 /// recorder enabled and adopt one labelled snapshot of each run's event

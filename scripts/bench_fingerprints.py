@@ -4,11 +4,16 @@
     bench_fingerprints.py EFAC_BENCH OUT
 
 Runs `EFAC_BENCH --workload=W --seed=N --smoke` for every workload of
-BENCHMARK.json at seeds 1-3, writing each result next to OUT, and writes
-OUT: for each run, the fields that depend only on the seed and the binary.
-Those are the dispatch, op and calibration hashes, `correct`, `attempted`,
-`failed` and every `vt_*` metric (a null value stays null). The compiler,
-the build type and every host metric are left out.
+BENCHMARK.json at seeds 1-3, writing each result next to OUT as
+W.N.json, and writes OUT: for each run, the fields that depend only on the
+seed and the binary. Those are the dispatch, op and calibration hashes,
+`correct`, `attempted`, `failed` and every `vt_*` metric (a null value
+stays null). The compiler, the build type and every host metric are left
+out.
+
+Seed 1 runs with `--traced` as well. The flight recorder, the telemetry
+sampler and the host profiler only read, so its fingerprint must equal
+the plain run's; scripts/benchmark_contract.py checks its result file.
 
 bench/baselines/benchmark_fingerprints.json is OUT for the checked-in code;
 scripts/bench_compare.py compares the two (ctest benchmark_fingerprints_exact).
@@ -23,6 +28,7 @@ import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
+TRACED_SEED = 1
 
 
 def fingerprint(result):
@@ -50,6 +56,8 @@ def main(argv):
             result = out.parent / f"{workload}.{seed}.json"
             cmd = [binary, f"--workload={workload}", f"--seed={seed}",
                    "--smoke", f"--out={result}"]
+            if seed == TRACED_SEED:
+                cmd.append("--traced")
             if subprocess.run(cmd, check=False).returncode != 0:
                 print(f"bench_fingerprints: {' '.join(cmd)} failed",
                       file=sys.stderr)

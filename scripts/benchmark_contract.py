@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Check that the benchmark program reports every metric BENCHMARK.json names.
 
-    benchmark_contract.py EFAC_BENCH OUTDIR
+    benchmark_contract.py RESULTDIR
 
-Runs `EFAC_BENCH --workload=W --seed=1 --smoke --traced --profile-out=...`
-for every workload of BENCHMARK.json, writing each result and profile into
-OUTDIR, and parses each result with a strict JSON reader (NaN and Infinity
-are rejected). A result fails the contract, naming the metric, when:
+Reads RESULTDIR/W.1.json, the traced seed-1 `--smoke` result that
+scripts/bench_fingerprints.py writes for every workload W of
+BENCHMARK.json, with a strict JSON reader (NaN and Infinity are rejected).
+A result fails the contract, naming the metric, when:
 
+  * it is missing or was not a traced run;
   * an `end_to_end` name is missing from `metrics` (in --smoke a p999 may
     be null; only the key must be there);
   * a `per_layer` name is absent, null or non-finite in `layers`. The
@@ -17,14 +18,13 @@ are rejected). A result fails the contract, naming the metric, when:
 benchmark/run.py drops a metric it cannot find from its result line, so a
 metric the program stops reporting would otherwise go unnoticed.
 
-Exit codes: 0 every workload keeps the contract, 1 a run failed or broke
-it, 2 usage error.
+Exit codes: 0 every workload keeps the contract, 1 a result is missing or
+breaks it, 2 usage error.
 """
 
 import json
 import math
 import pathlib
-import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -60,34 +60,27 @@ def violations(result, bench):
 
 
 def main(argv):
-    if len(argv) != 3:
+    if len(argv) != 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
-    binary, outdir = argv[1], pathlib.Path(argv[2])
-    outdir.mkdir(parents=True, exist_ok=True)
+    resultdir = pathlib.Path(argv[1])
     with open(ROOT / "BENCHMARK.json", encoding="utf-8") as f:
         bench = json.load(f)
 
     failed = False
     for workload in [w["name"] for w in bench["workloads"]]:
-        result_file = outdir / f"{workload}.json"
-        cmd = [binary, f"--workload={workload}", "--seed=1", "--smoke",
-               "--traced", f"--profile-out={outdir / (workload + '.prof')}",
-               f"--out={result_file}"]
-        if subprocess.run(cmd, check=False,
-                          stdout=subprocess.DEVNULL).returncode != 0:
-            print(f"benchmark_contract: {' '.join(cmd)} failed",
-                  file=sys.stderr)
-            failed = True
-            continue
+        result_file = resultdir / f"{workload}.1.json"
         try:
             with open(result_file, encoding="utf-8") as f:
                 result = json.load(f, parse_constant=reject_constant)
-        except ValueError as e:
+        except (OSError, ValueError) as e:
             print(f"benchmark_contract: {workload}: {e}", file=sys.stderr)
             failed = True
             continue
-        for problem in violations(result, bench):
+        problems = violations(result, bench)
+        if result.get("traced") is not True:
+            problems.insert(0, f"{result_file} is not a traced run")
+        for problem in problems:
             print(f"benchmark_contract: {workload}: {problem}",
                   file=sys.stderr)
             failed = True

@@ -44,12 +44,11 @@ Engines
                   brace-tree function finder, and a statement-level parser
                   feed the shared path evaluator.  This is what runs under
                   ctest inside the repo's minimal container.
-  --engine=clang  uses clang.cindex over compile_commands.json for exact
-                  function extents, semantic lambda-capture analysis and
-                  marker resolution (a typo'd marker that no longer calls
-                  efac::contracts::annotation_sink is reported), then runs
-                  the same path evaluator over each definition.  CI
-                  installs libclang and runs this engine.
+  --engine=clang  uses clang.cindex over compile_commands.json for
+                  compiler diagnostics and semantic lambda-capture
+                  analysis, then runs the same path evaluator as the lex
+                  engine over each file.  CI installs libclang and runs
+                  this engine.
   --engine=auto   clang if importable, else lex.
 
 Waivers: `// efac-waive: EFAC00N <reason>` on the finding's line or the
@@ -1101,7 +1100,6 @@ def run_clang_engine(paths: list[str], compile_commands: str,
 
     index = ci.Index.create()
     findings: list[Finding] = []
-    seen_defs: set[tuple[str, int]] = set()
     analyzed: dict[str, FileAnalysis] = {}
 
     def file_analysis(path: str) -> FileAnalysis:
@@ -1154,24 +1152,12 @@ def run_clang_engine(paths: list[str], compile_commands: str,
                 if child.kind == ci.CursorKind.LAMBDA_EXPR:
                     _clang_check_lambda(ci, child, findings,
                                         file_analysis(loc.file.name))
-                elif child.kind in (ci.CursorKind.FUNCTION_DECL,
-                                    ci.CursorKind.CXX_METHOD,
-                                    ci.CursorKind.CONSTRUCTOR,
-                                    ci.CursorKind.DESTRUCTOR,
-                                    ci.CursorKind.FUNCTION_TEMPLATE) \
-                        and child.is_definition():
-                    key = (os.path.abspath(loc.file.name),
-                           child.extent.start.offset)
-                    if key in seen_defs:
-                        continue
-                    seen_defs.add(key)
 
         visit(tu.cursor)
 
     # The path analysis itself runs on the shared core over each file once
-    # (the clang pass above contributes exact lambda semantics and marker
-    # resolution; duplicating the dataflow over the AST would fork the
-    # rule implementations).
+    # (the clang pass above contributes exact lambda semantics; duplicating
+    # the dataflow over the AST would fork the rule implementations).
     lex_paths = sorted({fa for fa in _iter_sources(paths)})
     analyses = [file_analysis(p) for p in lex_paths]
     lex_findings = analyze_files(analyses)

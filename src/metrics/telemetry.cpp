@@ -22,33 +22,16 @@ constexpr std::string_view kTelemetrySchema = "efac.telemetry.v1";
 // ---------------------------------------------------------------- sampler
 
 TelemetrySampler::TelemetrySampler(sim::Simulator& sim,
-                                   MetricsRegistry& registry,
-                                   TelemetryOptions options)
-    : sim_(sim),
-      options_(std::move(options)),
-      samples_counter_(registry.counter("telemetry.samples")) {}
+                                   std::string series_prefix)
+    : series_prefix_(std::move(series_prefix)) {
+  sim.watch_clock(kPeriodNs, alive_, [this](SimTime at) { sample(at); });
+}
 
 TelemetrySampler::~TelemetrySampler() { *alive_ = false; }
 
-void TelemetrySampler::start() {
-  if (started_) return;
-  started_ = true;
-  arm();
-}
-
-void TelemetrySampler::stop() { started_ = false; }
-
-void TelemetrySampler::arm() {
-  sim_.call_after(kPeriodNs, [this, alive = alive_] {
-    if (!*alive || !started_) return;
-    sample_now();
-    arm();
-  });
-}
-
 TelemetrySampler::SeriesState& TelemetrySampler::series_for(
     std::string_view name, SeriesKind kind) {
-  std::string full = options_.series_prefix;
+  std::string full = series_prefix_;
   full += name;
   const auto it = series_index_.find(full);
   if (it != series_index_.end()) {
@@ -95,10 +78,9 @@ std::uint64_t TelemetrySampler::dropped() const noexcept {
   return samples_ > kCapacity ? samples_ - kCapacity : 0;
 }
 
-void TelemetrySampler::sample_now() {
-  if (samples_ == 0) first_tick_ns_ = sim_.now();
+void TelemetrySampler::sample(SimTime at) {
+  if (samples_ == 0) first_tick_ns_ = at;
   ++samples_;
-  ++samples_counter_;
   for (SeriesState& s : series_) {
     double point = 0.0;
     if (s.kind == SeriesKind::kRate) {

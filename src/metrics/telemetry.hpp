@@ -4,9 +4,9 @@
 // recorder (trace/event_log.hpp) answers "what happened to THIS op". This
 // module covers the middle granularity the paper's dynamics arguments live
 // at: how the verifier backlog, retry rate, or hedge rate EVOLVED over a
-// run. A TelemetrySampler registers one periodic event with the store's
-// simulator and, at every tick, snapshots a configured set of sources into
-// fixed-capacity ring-buffered series:
+// run. A TelemetrySampler puts a clock watch on the store's simulator and,
+// at every period boundary the clock passes, snapshots a configured set of
+// sources into fixed-capacity ring-buffered series:
 //
 //   * counter sources — registry Counter cells sampled as per-tick deltas
 //     (a rate timeline; deltas are exact integers, so series are
@@ -18,11 +18,11 @@
 // efac.telemetry.v1).
 //
 // Determinism contract (same as the fault injector / sanitizer / flight
-// recorder): disabled means no object, no simulator event, and one branch
-// per probe site — schedules and dispatch hashes are bit-identical to a
-// tree without the subsystem. Enabled, the sampler's periodic event is
-// part of the deterministic schedule, so for a fixed seed the sampled
-// series are themselves bit-reproducible.
+// recorder): disabled means no object and one branch per probe site.
+// Enabled, the sampler only reads: a clock-watch tick is no simulator
+// event and the sampler writes into no registry, so schedules, dispatch
+// hashes and exported metrics are bit-identical with it on or off, and
+// for a fixed seed the sampled series are themselves bit-reproducible.
 #pragma once
 
 #include <cstddef>
@@ -38,7 +38,6 @@
 #include "common/status.hpp"
 #include "common/types.hpp"
 #include "metrics/metrics.hpp"
-#include "metrics/telemetry_options.hpp"
 
 namespace efac::sim {
 class Simulator;
@@ -93,21 +92,15 @@ class TelemetrySampler {
   /// enough to hold every point of the Fig. 2 bench at kPeriodNs.
   static constexpr std::size_t kCapacity = 16384;
 
-  /// `registry` receives the sampler's own accounting counter
-  /// ("telemetry.samples"). Both references must outlive the sampler.
-  TelemetrySampler(sim::Simulator& sim, MetricsRegistry& registry,
-                   TelemetryOptions options);
+  /// Watches `sim`'s clock from now on: one sample per kPeriodNs
+  /// boundary. `series_prefix` is prepended to every series name
+  /// (sharded clusters pass "s<i>/"). The simulator may die first.
+  explicit TelemetrySampler(sim::Simulator& sim,
+                            std::string series_prefix = {});
   ~TelemetrySampler();
 
   TelemetrySampler(const TelemetrySampler&) = delete;
   TelemetrySampler& operator=(const TelemetrySampler&) = delete;
-
-  /// Arm the periodic sampling event. Idempotent.
-  void start();
-
-  /// Disarm: no further samples are taken. Safe to call at any time; the
-  /// in-flight event (if any) becomes a no-op through the alive flag.
-  void stop();
 
   /// Register a counter cell to be sampled as a per-tick delta series.
   /// Multiple cells may feed one series (their deltas add), which is how
@@ -124,8 +117,9 @@ class TelemetrySampler {
   /// before the store MUST call this from their destructor.
   void drop_sources(Owner owner);
 
-  /// Take one sample immediately (tests; the periodic event calls this).
-  void sample_now();
+  /// Take one sample for virtual time `at` (the clock watch passes each
+  /// boundary; tests call this directly).
+  void sample(SimTime at);
 
   [[nodiscard]] std::uint64_t samples_taken() const noexcept {
     return samples_;
@@ -155,21 +149,18 @@ class TelemetrySampler {
   };
 
   SeriesState& series_for(std::string_view name, SeriesKind kind);
-  void arm();
 
-  sim::Simulator& sim_;
-  TelemetryOptions options_;
-  Counter& samples_counter_;
+  std::string series_prefix_;
 
   // deque: SeriesState addresses stay stable as series are added.
   std::deque<SeriesState> series_;
   std::map<std::string, std::size_t, std::less<>> series_index_;
   std::uint64_t samples_ = 0;
   std::uint64_t first_tick_ns_ = 0;
-  bool started_ = false;
-  // Shared alive flag: the self-rescheduling simulator callback captures a
-  // copy and checks it first, so destroying the sampler (or stop()) makes
-  // any still-queued tick a no-op instead of a use-after-free.
+  // Shared alive flag guarding the clock watch: the destructor clears it,
+  // and the simulator drops the watch instead of calling a dead sampler.
+  // Benches destroy the simulator first, so the destructor must not reach
+  // into it.
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 

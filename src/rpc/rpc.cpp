@@ -45,72 +45,67 @@ sim::Task<Bytes> Connection::call(std::uint16_t opcode, Bytes args) {
   co_return std::move(response).take();
 }
 
+Connection::Request Connection::open_request(std::uint16_t opcode,
+                                             const Bytes& args) {
+  Request req{next_call_id_++, {}};
+  ByteWriter writer{args.size() + 16};
+  writer.put_u16(opcode);
+  writer.put_u64(req.call_id);
+  writer.put_blob(args);
+  req.frame = std::move(writer).take();
+  if (rec_ != nullptr) {
+    rec_->emit(trace::EventType::kRpcIssue,
+               static_cast<std::uint8_t>(opcode), req.call_id, qp_.id());
+  }
+  return req;
+}
+
+void Connection::arm_timeout(std::uint64_t call_id, SimDuration timeout_ns) {
+  if (timeout_ns == 0) return;
+  sim_.call_after(timeout_ns, [this, call_id] {
+    const auto it = pending_.find(call_id);
+    // Already answered (possibly in this very instant) or already torn
+    // down: the timer is stale.
+    if (it == pending_.end() || it->second->ready()) return;
+    it->second->set(Status{StatusCode::kTimeout, "rpc timeout"});
+  });
+}
+
+Expected<Bytes> Connection::close_call(std::uint64_t call_id,
+                                       Expected<Bytes> response) {
+  pending_.erase(call_id);
+  if (response.has_value()) ++calls_completed_;
+  return response;
+}
+
 sim::Task<Expected<Bytes>> Connection::call_timeout(std::uint16_t opcode,
                                                     Bytes args,
                                                     SimDuration timeout_ns) {
-  const std::uint64_t call_id = next_call_id_++;
-  ByteWriter writer{args.size() + 16};
-  writer.put_u16(opcode);
-  writer.put_u64(call_id);
-  writer.put_blob(args);
-  if (rec_ != nullptr) {
-    rec_->emit(trace::EventType::kRpcIssue,
-               static_cast<std::uint8_t>(opcode), call_id, qp_.id());
-  }
-
+  Request req = open_request(opcode, args);
   sim::OneShot<Expected<Bytes>> slot{sim_};
-  pending_.emplace(call_id, &slot);
-  if (timeout_ns > 0) {
-    sim_.call_after(timeout_ns, [this, call_id] {
-      const auto it = pending_.find(call_id);
-      // Already answered (possibly in this very instant) or already torn
-      // down: the timer is stale.
-      if (it == pending_.end() || it->second->ready()) return;
-      it->second->set(Status{StatusCode::kTimeout, "rpc timeout"});
-    });
-  }
-  co_await qp_.send(std::move(writer).take());
-  Expected<Bytes> response = co_await slot.wait();
-  pending_.erase(call_id);
-  if (response.has_value()) ++calls_completed_;
-  co_return response;
+  pending_.emplace(req.call_id, &slot);
+  arm_timeout(req.call_id, timeout_ns);
+  co_await qp_.send(std::move(req.frame));
+  co_return close_call(req.call_id, co_await slot.wait());
 }
 
 Connection::PendingCall Connection::call_begin(std::uint16_t opcode,
                                                Bytes args) {
-  const std::uint64_t call_id = next_call_id_++;
-  ByteWriter writer{args.size() + 16};
-  writer.put_u16(opcode);
-  writer.put_u64(call_id);
-  writer.put_blob(args);
-  if (rec_ != nullptr) {
-    rec_->emit(trace::EventType::kRpcIssue,
-               static_cast<std::uint8_t>(opcode), call_id, qp_.id());
-  }
+  Request req = open_request(opcode, args);
   PendingCall call;
-  call.call_id = call_id;
+  call.call_id = req.call_id;
   call.slot = std::make_unique<sim::OneShot<Expected<Bytes>>>(sim_);
-  pending_.emplace(call_id, call.slot.get());
+  pending_.emplace(call.call_id, call.slot.get());
   // Fire-and-forget: the request departs through the QP FIFO like any
   // send(), but the caller keeps running — that head start is the point.
-  qp_.post_send(std::move(writer).take());
+  qp_.post_send(std::move(req.frame));
   return call;
 }
 
 sim::Task<Expected<Bytes>> Connection::call_finish(PendingCall call,
                                                    SimDuration timeout_ns) {
-  const std::uint64_t call_id = call.call_id;
-  if (timeout_ns > 0 && !call.slot->ready()) {
-    sim_.call_after(timeout_ns, [this, call_id] {
-      const auto it = pending_.find(call_id);
-      if (it == pending_.end() || it->second->ready()) return;
-      it->second->set(Status{StatusCode::kTimeout, "rpc timeout"});
-    });
-  }
-  Expected<Bytes> response = co_await call.slot->wait();
-  pending_.erase(call_id);
-  if (response.has_value()) ++calls_completed_;
-  co_return response;
+  if (!call.slot->ready()) arm_timeout(call.call_id, timeout_ns);
+  co_return close_call(call.call_id, co_await call.slot->wait());
 }
 
 void Connection::call_abandon(PendingCall call) {

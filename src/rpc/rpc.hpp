@@ -143,6 +143,18 @@ class Connection {
   }
 
  private:
+  struct Request {
+    std::uint64_t call_id;
+    Bytes frame;  ///< opcode u16, call id u64, args blob
+  };
+  /// Frame `args` under the next call id and tag it with kRpcIssue.
+  Request open_request(std::uint16_t opcode, const Bytes& args);
+  /// Fail `call_id` with kTimeout after `timeout_ns` unless it is answered
+  /// or closed first (0 = wait forever).
+  void arm_timeout(std::uint64_t call_id, SimDuration timeout_ns);
+  /// Unregister an awaited call; count it when it was answered.
+  Expected<Bytes> close_call(std::uint64_t call_id, Expected<Bytes> response);
+
   sim::Simulator& sim_;
   rdma::Fabric& fabric_;
   Directory& directory_;

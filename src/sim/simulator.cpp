@@ -162,7 +162,36 @@ void Simulator::maybe_rethrow() {
   }
 }
 
+void Simulator::watch_clock(SimDuration period,
+                            std::shared_ptr<const bool> alive,
+                            std::function<void(SimTime)> tick) {
+  EFAC_CHECK_MSG(period > 0, "a clock watch needs a positive period");
+  EFAC_CHECK(alive != nullptr && tick);
+  watches_.push_back(
+      ClockWatch{now_ + period, period, std::move(alive), std::move(tick)});
+  next_watch_ = std::min(next_watch_, now_ + period);
+}
+
+void Simulator::fire_watches(SimTime limit) {
+  const std::uint64_t seq = next_seq_;
+  for (;;) {
+    std::erase_if(watches_, [](const ClockWatch& w) { return !*w.alive; });
+    // min_element keeps the first of equal boundaries: registration order.
+    const auto due = std::min_element(
+        watches_.begin(), watches_.end(),
+        [](const ClockWatch& a, const ClockWatch& b) {
+          return a.next < b.next;
+        });
+    next_watch_ = due == watches_.end() ? kNoTime : due->next;
+    if (next_watch_ > limit) break;
+    due->next += due->period;
+    due->tick(next_watch_);
+  }
+  EFAC_CHECK_MSG(next_seq_ == seq, "a clock watch scheduled an event");
+}
+
 void Simulator::dispatch(Event& e) {
+  if (e.time() > next_watch_) fire_watches(e.time() - 1);
   now_ = e.time();
   ++events_processed_;
   --pending_;
@@ -257,6 +286,7 @@ std::size_t Simulator::run_until(SimTime deadline) {
     maybe_rethrow();
     ++n;
   }
+  if (deadline >= next_watch_) fire_watches(deadline);
   now_ = deadline;
   return n;
 }

@@ -27,6 +27,12 @@
 // started with spawn(). The Simulator tracks unfinished root frames and
 // destroys them on destruction so that abandoned actors (e.g. an infinite
 // background-thread loop stopped by run_until) do not leak.
+//
+// Observers that sample on a period (the telemetry sampler) ride a clock
+// watch instead of scheduling events of their own: the simulator calls
+// them back at each period boundary the clock passes, outside the event
+// queue, so turning them on leaves the schedule and dispatch_hash() as
+// they were.
 #pragma once
 
 #include <array>
@@ -34,6 +40,8 @@
 #include <coroutine>
 #include <cstdint>
 #include <exception>
+#include <functional>
+#include <memory>
 #include <type_traits>
 #include <unordered_map>
 #include <vector>
@@ -104,6 +112,20 @@ class Simulator {
   /// Process every event with timestamp <= deadline, then advance the clock
   /// to exactly `deadline`. Events beyond the deadline stay queued.
   std::size_t run_until(SimTime deadline);
+
+  /// Clock watch: call `tick(b)` for every boundary b = t0 + k * period
+  /// (k >= 1, t0 = now()) once the clock has passed b, while `*alive`
+  /// holds; a watch whose flag has gone false is dropped without firing.
+  /// A boundary fires after every event at or before it and before any
+  /// later one: dispatching an event at t first fires each boundary < t,
+  /// and run_until(deadline) fires each boundary <= deadline after
+  /// draining. Boundaries of several watches fire in time order,
+  /// registration order at ties. A tick is outside the event queue: it
+  /// consumes no sequence number, is not counted by events_processed()
+  /// and leaves dispatch_hash() alone, so it must not schedule events.
+  /// During a tick now() may still read an earlier instant; use `b`.
+  void watch_clock(SimDuration period, std::shared_ptr<const bool> alive,
+                   std::function<void(SimTime)> tick);
 
   /// Number of spawned root actors that have not yet finished.
   [[nodiscard]] std::size_t active_root_tasks() const noexcept {
@@ -249,7 +271,16 @@ class Simulator {
   Event pop_far();
   void sift_up_far(std::size_t i);
   void dispatch(Event& e);
+  /// Fire every clock-watch boundary <= limit, earliest first.
+  void fire_watches(SimTime limit);
   void maybe_rethrow();
+
+  struct ClockWatch {
+    SimTime next;  ///< next boundary to fire
+    SimDuration period;
+    std::shared_ptr<const bool> alive;
+    std::function<void(SimTime)> tick;
+  };
 
   std::vector<std::vector<Event>> wheel_;  ///< one bucket per ns of horizon
   Occupancy occupancy_;
@@ -272,6 +303,10 @@ class Simulator {
   /// seq -> scheduling actor; populated only while hooks are attached (and
   /// only for non-zero actors), consumed at dispatch.
   std::unordered_map<std::uint64_t, std::uint32_t> event_actor_;
+  std::vector<ClockWatch> watches_;
+  /// Earliest boundary of any watch; kNoTime (never due) without watches,
+  /// so an unwatched dispatch pays one compare.
+  SimTime next_watch_ = kNoTime;
 };
 
 /// Awaitable that suspends the current coroutine for `d` virtual ns.

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <string>
 
 #include <algorithm>
 
@@ -17,10 +18,8 @@
 #include "fault/fault.hpp"
 #include "kv/erda_table.hpp"
 #include "kv/hash_dir.hpp"
-#include "metrics/telemetry_options.hpp"
 #include "nvm/arena.hpp"
 #include "rdma/fabric.hpp"
-#include "trace/options.hpp"
 
 namespace efac::stores {
 
@@ -54,6 +53,18 @@ struct ServerCostModel {
     return static_cast<SimDuration>(
         std::llround(memcpy_byte_ns * static_cast<double>(bytes)));
   }
+};
+
+/// Flight recorder switch (trace/event_log.hpp). Off: no EventLog is
+/// created and every emission site reduces to one null-pointer test.
+struct TraceOptions {
+  bool enabled = false;
+};
+
+/// Telemetry sampler switch (metrics/telemetry.hpp). Off: no sampler is
+/// created and every probe site reduces to one null-pointer test.
+struct TelemetryOptions {
+  bool enabled = false;
 };
 
 /// Which receive-path optimization the server uses.
@@ -102,12 +113,15 @@ struct StoreConfig {
   /// Conflict sanitizer (default: disabled = no shadow memory, no vector
   /// clocks; every instrumentation site reduces to one pointer test).
   analysis::AnalysisOptions analysis;
-  /// Flight recorder (default: disabled = no event log; every emission
-  /// site reduces to one pointer test and the schedule is untouched).
-  trace::TraceOptions trace;
-  /// Telemetry sampler (default: disabled = no sampler, no periodic
-  /// event; every probe site reduces to one pointer test).
-  metrics::TelemetryOptions telemetry;
+  /// Flight recorder and telemetry sampler. Both only read the run, so
+  /// either one on leaves the schedule and the registries untouched.
+  TraceOptions trace;
+  TelemetryOptions telemetry;
+  /// Prepended to every flight-recorder track and telemetry series name.
+  /// Sharded clusters set "s<shard>/" so each shard's instruments stay
+  /// distinguishable in merged exports; empty (the default) leaves names
+  /// as they are.
+  std::string instrument_prefix;
   std::uint64_t seed = 0xEFAC;
 
   [[nodiscard]] SimDuration recv_cost() const noexcept {

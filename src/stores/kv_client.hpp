@@ -404,12 +404,14 @@ class KvClient {
     telemetry_->add_counter_source(this, "client.giveups", stats_.giveups);
     telemetry_->add_counter_source(this, "client.gets_rpc_path",
                                    stats_.gets_rpc_path);
-    // Adaptive hybrid-read signals (get-or-create: zero series for
-    // non-adaptive clients, which keeps shard exports shape-stable).
+    // Adaptive hybrid-read signals, from the clients that count them:
+    // sampling must not register a counter the client does not have.
     for (const char* name :
          {"read.adaptive.hedges", "read.adaptive.hedges_wasted",
           "read.adaptive.spec_pairs"}) {
-      telemetry_->add_counter_source(this, name, metrics_.counter(name));
+      if (const metrics::Counter* cell = metrics_.find_counter(name)) {
+        telemetry_->add_counter_source(this, name, *cell);
+      }
     }
     telemetry_->add_gauge_probe(this, "client.inflight", [this] {
       return static_cast<double>(inflight_);

@@ -67,14 +67,10 @@ StoreConfig shard_store_config(const ClusterConfig& config,
     if (!store.fault_plan.empty()) {
       store.fault_plan.seed = mix64(store.fault_plan.seed ^ shard);
     }
-    std::string prefix = "s";
-    prefix += std::to_string(shard);
-    prefix += '/';
-    // Same "s<i>/" namespace for flight-recorder tracks and telemetry
-    // series, so per-shard imbalance stays visible after benches merge
-    // shard exports into one document.
-    store.telemetry.series_prefix = prefix;
-    store.trace.actor_prefix = std::move(prefix);
+    // Per-shard names for flight-recorder tracks and telemetry series,
+    // so per-shard imbalance stays visible after benches merge shard
+    // exports into one document.
+    store.instrument_prefix = "s" + std::to_string(shard) + "/";
   }
   if (shard < config.shard_fault_plans.size() &&
       !config.shard_fault_plans[shard].empty()) {

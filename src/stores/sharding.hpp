@@ -98,7 +98,7 @@ struct ClusterConfig {
 /// num_shards == 1 (bit-identical single-shard clusters); otherwise the
 /// pool is partitioned (2x headroom for hash skew), the store seed is
 /// shard-mixed so shards draw independent latency-jitter streams, and the
-/// flight-recorder actor prefix becomes "s<shard>/".
+/// instrument prefix (trace tracks, telemetry series) becomes "s<shard>/".
 [[nodiscard]] StoreConfig shard_store_config(const ClusterConfig& config,
                                              std::size_t shard);
 

@@ -35,17 +35,18 @@ StoreBase::StoreBase(sim::Simulator& sim, StoreConfig config,
   // system-specific actors and clients after.
   if (config_.trace.enabled) {
     trace_log_ =
-        std::make_unique<trace::EventLog>(sim_, config_.trace.actor_prefix);
+        std::make_unique<trace::EventLog>(sim_, config_.instrument_prefix);
     server_rec_.attach(trace_log_.get(), "server");
     fault_rec_.attach(trace_log_.get(), "faults");
   }
 
-  // The telemetry sampler registers a periodic simulator event only once
-  // start() arms it; construction here just wires sources. Disabled = null
-  // pointer, exactly like the checker and the event log above.
+  // The telemetry sampler watches the simulator's clock from here on (the
+  // harnesses build stores at t = 0); like the event log it schedules
+  // nothing. Disabled = null pointer, exactly like the checker and the
+  // event log above.
   if (config_.telemetry.enabled) {
     telemetry_ = std::make_unique<metrics::TelemetrySampler>(
-        sim_, metrics_, config_.telemetry);
+        sim_, config_.instrument_prefix);
     telemetry_->add_counter_source(this, "server.requests", stats_.requests);
     telemetry_->add_counter_source(this, "server.persists", stats_.persists);
     telemetry_->add_counter_source(this, "server.bg_verified",
@@ -111,7 +112,6 @@ void StoreBase::start() {
     }(*this));
   }
   start_extras();
-  if (telemetry_ != nullptr) telemetry_->start();
 }
 
 void StoreBase::crash() {

@@ -158,7 +158,7 @@ class StoreBase {
 
   /// Telemetry sampler, or nullptr when config().telemetry.enabled is
   /// false (same pattern again: disabled costs one pointer test per probe
-  /// site and registers no simulator event).
+  /// site).
   [[nodiscard]] metrics::TelemetrySampler* telemetry() noexcept {
     return telemetry_.get();
   }
@@ -219,7 +219,6 @@ class StoreBase {
   std::unique_ptr<trace::EventLog> trace_log_;
   trace::Recorder server_rec_;
   trace::Recorder fault_rec_;
-  // telemetry_ must follow metrics_ (its accounting counter lives there).
   std::unique_ptr<metrics::TelemetrySampler> telemetry_;
   std::unique_ptr<nvm::Arena> arena_;
   rdma::Fabric fabric_;

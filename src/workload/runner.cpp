@@ -58,65 +58,6 @@ sim::Task<void> client_loop(sim::Simulator& sim, KvClient& client,
   --shared.remaining_clients;
 }
 
-/// Batched closed-loop client: groups each window of `batch` ops from the
-/// mix into one put_batch (the PUTs) plus one get_batch (the GETs). Member
-/// latency is the batch's span — the closed-loop cost a member pays before
-/// the client can move on.
-sim::Task<void> client_loop_batched(sim::Simulator& sim, KvClient& client,
-                                    SharedRunState& shared, Rng rng,
-                                    std::size_t client_id, std::size_t ops,
-                                    std::size_t batch) {
-  Workload& workload = *shared.workload;
-  RunResult& result = *shared.result;
-  std::size_t i = 0;
-  while (i < ops) {
-    const std::size_t n = std::min(batch, ops - i);
-    std::vector<KvClient::PutOp> puts;
-    std::vector<Bytes> get_keys;
-    for (std::size_t j = 0; j < n; ++j, ++i) {
-      const Workload::Op op = workload.next(rng);
-      if (op.is_put) {
-        const std::uint64_t version = client_id * 1'000'000'000ull + i;
-        puts.push_back(KvClient::PutOp{
-            workload.key_at(op.key_index),
-            workload.value_for(op.key_index, version)});
-      } else {
-        get_keys.push_back(workload.key_at(op.key_index));
-      }
-    }
-    if (!puts.empty()) {
-      const std::size_t count = puts.size();
-      const SimTime start = sim.now();
-      const std::vector<Status> statuses =
-          co_await client.put_batch(std::move(puts));
-      const SimDuration lat = sim.now() - start;
-      for (const Status& status : statuses) {
-        if (!status.is_ok()) ++result.put_failures;
-        result.put_latency.record(lat);
-        result.op_latency.record(lat);
-      }
-      result.puts += count;
-      result.ops += count;
-    }
-    if (!get_keys.empty()) {
-      const std::size_t count = get_keys.size();
-      const SimTime start = sim.now();
-      const std::vector<Expected<Bytes>> values =
-          co_await client.get_batch(std::move(get_keys));
-      const SimDuration lat = sim.now() - start;
-      for (const Expected<Bytes>& value : values) {
-        if (!value) ++result.get_failures;
-        result.get_latency.record(lat);
-        result.op_latency.record(lat);
-      }
-      result.gets += count;
-      result.ops += count;
-    }
-  }
-  shared.last_finish = std::max(shared.last_finish, sim.now());
-  --shared.remaining_clients;
-}
-
 /// Loader coroutine: inserts an index-partitioned slice of the key space.
 sim::Task<void> loader_loop(KvClient& client, Workload& workload,
                             std::uint64_t begin, std::uint64_t end,
@@ -209,14 +150,8 @@ RunResult run_workload_impl(sim::Simulator& sim, const ClusterView& cluster,
   clients.reserve(options.clients);
   for (std::size_t c = 0; c < options.clients; ++c) {
     clients.push_back(cluster.make_client(client_options));
-    if (options.batch > 1) {
-      sim.spawn(client_loop_batched(sim, *clients.back(), shared,
-                                    seeder.fork(), c, options.ops_per_client,
-                                    options.batch));
-    } else {
-      sim.spawn(client_loop(sim, *clients.back(), shared, seeder.fork(), c,
-                            options.ops_per_client));
-    }
+    sim.spawn(client_loop(sim, *clients.back(), shared, seeder.fork(), c,
+                          options.ops_per_client));
   }
   run_sim_until(sim, [&] { return shared.remaining_clients == 0; });
 
@@ -284,7 +219,6 @@ stores::StoreConfig sized_store_config(const RunOptions& options,
   const WorkloadConfig& w = options.workload;
   stores::StoreConfig config;
   config.seed = w.seed;
-  config.telemetry = options.telemetry;
 
   const std::size_t object_bytes =
       kv::ObjectLayout::total_size(w.key_len, w.value_len);

@@ -16,7 +16,6 @@
 
 #include "common/histogram.hpp"
 #include "metrics/metrics.hpp"
-#include "metrics/telemetry_options.hpp"
 #include "sim/simulator.hpp"
 #include "stores/factory.hpp"
 #include "stores/sharding.hpp"
@@ -31,22 +30,12 @@ struct RunOptions {
   /// Extra settle time after the load phase (on top of a heuristic based
   /// on key count) before measurement starts.
   SimDuration extra_settle_ns = 200 * timeconst::kMicrosecond;
-  /// Measured clients group consecutive ops of the mix into put_batch /
-  /// get_batch submissions of this size (consecutive PUTs form one
-  /// put_batch, consecutive GETs one get_batch). 1 (the default) issues
-  /// plain sync ops through the exact pre-batching loop, so existing
-  /// sweeps stay bit-identical.
-  std::size_t batch = 1;
   /// Template for every client the harness creates (loaders and measured
   /// alike); the harness overrides size_hint from the workload shape. Lets
   /// sweeps turn on per-client features — adaptive reads, retry policies —
   /// without a parallel plumbing path. The default keeps runs
   /// bit-identical to the pre-template harness.
   stores::ClientOptions client;
-  /// Virtual-time telemetry sampler configuration, copied verbatim into
-  /// the store config by sized_store_config(). Disabled (the default)
-  /// adds no simulator events and keeps runs bit-identical.
-  metrics::TelemetryOptions telemetry;
 };
 
 struct RunResult {

@@ -1,14 +1,18 @@
-// Flight-recorder coverage: recording is off by default and schedule-
-// neutral when on; a traced run is bit-deterministic under a fixed seed;
-// the Chrome export passes (and bad documents fail) the golden-schema
-// validator; the binary dump round-trips; the ring drops oldest-first.
+// Flight-recorder coverage: recording is off by default and, with the
+// telemetry sampler, schedule- and registry-neutral when on; a traced run
+// is bit-deterministic under a fixed seed; the Chrome export passes (and
+// bad documents fail) the golden-schema validator; the binary dump
+// round-trips; the ring drops oldest-first.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "metrics/json.hpp"
 #include "stores/efactory.hpp"
+#include "stores/sharding.hpp"
 #include "store_test_util.hpp"
 #include "trace/chrome.hpp"
 #include "trace/event_log.hpp"
@@ -19,36 +23,83 @@ namespace {
 using stores::SystemKind;
 using testutil::TestCluster;
 
-/// One deterministic traced workload: N puts, settle (so the verifier
-/// runs), N gets. Returns the snapshot plus the scheduler's witnesses.
+/// One deterministic workload: N puts, settle (so the verifier runs), N
+/// gets. Returns the trace snapshot plus what the instruments must leave
+/// alone: the scheduler's witnesses and every registry.
 struct TracedRun {
   EventLog::Snapshot snapshot;
   std::uint64_t dispatch_hash = 0;
   std::uint64_t events_processed = 0;
   SimTime end_time = 0;
+  std::string registries;  ///< metrics::to_json of the stores and client
 };
 
-TracedRun run_traced(SystemKind kind, bool trace_enabled) {
-  stores::StoreConfig config = testutil::small_config();
-  config.trace.enabled = trace_enabled;
-  TestCluster tc{kind, config, testutil::hinted(32, 256)};
-  workload::Workload wl{workload::WorkloadConfig{
+/// The workload as one actor; sets `*done` at the end.
+sim::Task<void> put_settle_get(sim::Simulator& sim, stores::KvClient& client,
+                               bool* done) {
+  const workload::Workload wl{workload::WorkloadConfig{
       .key_count = 8, .key_len = 32, .value_len = 256}};
-  for (int k = 0; k < 8; ++k) {
-    EXPECT_TRUE(tc.put_sync(wl.key_at(k), wl.value_for(k, 1)).is_ok());
+  for (std::uint64_t k = 0; k < 8; ++k) {
+    const Status s = co_await client.put(wl.key_at(k), wl.value_for(k, 1));
+    EXPECT_TRUE(s.is_ok()) << s.to_string();
   }
-  tc.settle();
-  for (int k = 0; k < 8; ++k) {
-    EXPECT_TRUE(tc.get_sync(wl.key_at(k)).has_value());
+  co_await sim::delay(sim, 500 * timeconst::kMicrosecond);
+  for (std::uint64_t k = 0; k < 8; ++k) {
+    EXPECT_TRUE((co_await client.get(wl.key_at(k))).has_value());
   }
+  *done = true;
+}
+
+/// Run put_settle_get on `client` in 1 ms slices and record the witnesses.
+TracedRun run_workload(sim::Simulator& sim, stores::KvClient& client,
+                       const std::vector<const stores::StoreBase*>& stores) {
+  bool done = false;
+  sim.spawn(put_settle_get(sim, client, &done));
+  while (!done) sim.run_until(sim.now() + timeconst::kMillisecond);
   TracedRun run;
+  run.dispatch_hash = sim.dispatch_hash();
+  run.events_processed = sim.events_processed();
+  run.end_time = sim.now();
+  metrics::MetricsRegistry all;
+  for (std::size_t i = 0; i < stores.size(); ++i) {
+    all.merge_from(stores[i]->metrics(), "store" + std::to_string(i) + "/");
+  }
+  client.merge_metrics_into(all, "client/");
+  run.registries = metrics::to_json(all, "test");
+  return run;
+}
+
+/// The workload on one `kind` cluster, with the flight recorder and the
+/// telemetry sampler both on or both off.
+TracedRun run_traced(SystemKind kind, bool instrumented,
+                     bool adaptive = false) {
+  stores::StoreConfig config = testutil::small_config();
+  config.trace.enabled = instrumented;
+  config.telemetry.enabled = instrumented;
+  stores::ClientOptions options = testutil::hinted(32, 256);
+  options.adaptive.enabled = adaptive;
+  TestCluster tc{kind, config, options};
+  TracedRun run = run_workload(tc.sim, *tc.client, {tc.cluster.store.get()});
   if (EventLog* log = tc.cluster.store->trace_log(); log != nullptr) {
     run.snapshot = log->snapshot("test");
   }
-  run.dispatch_hash = tc.sim.dispatch_hash();
-  run.events_processed = tc.sim.events_processed();
-  run.end_time = tc.sim.now();
   return run;
+}
+
+/// The same on a two-shard eFactory cluster: two samplers, one simulator.
+TracedRun run_two_shards(bool instrumented) {
+  stores::ClusterConfig config;
+  config.num_shards = 2;
+  config.store = testutil::small_config();
+  config.store.trace.enabled = instrumented;
+  config.store.telemetry.enabled = instrumented;
+  sim::Simulator sim;
+  stores::ShardedCluster cluster =
+      stores::make_sharded_cluster(sim, SystemKind::kEFactory, config);
+  cluster.start();
+  const std::unique_ptr<stores::KvClient> client =
+      cluster.make_client(testutil::hinted(32, 256));
+  return run_workload(sim, *client, {&cluster.store(0), &cluster.store(1)});
 }
 
 /// A traced run over every client path a system has: PUTs, a settle, two
@@ -178,15 +229,29 @@ TEST(FlightRecorder, RecordsOpLifecycleAndActorTracks) {
 }
 
 TEST(FlightRecorder, RecordingDoesNotPerturbTheSchedule) {
-  // The recorder only reads sim.now() — with it on or off, the same
-  // seeded workload must dispatch the same events in the same order.
-  const TracedRun off = run_traced(SystemKind::kEFactory, false);
-  const TracedRun on = run_traced(SystemKind::kEFactory, true);
-  EXPECT_EQ(off.dispatch_hash, on.dispatch_hash);
-  EXPECT_EQ(off.events_processed, on.events_processed);
-  EXPECT_EQ(off.end_time, on.end_time);
-  EXPECT_TRUE(off.snapshot.events.empty());
-  EXPECT_FALSE(on.snapshot.events.empty());
+  // The instruments only read: with the flight recorder and the telemetry
+  // sampler on or off, the same seeded workload must dispatch the same
+  // events in the same order and leave every registry the same, on every
+  // system, the adaptive client, and two samplers sharing a simulator.
+  const auto expect_neutral = [](const TracedRun& off, const TracedRun& on,
+                                 const std::string& what) {
+    EXPECT_EQ(off.dispatch_hash, on.dispatch_hash) << what;
+    EXPECT_EQ(off.events_processed, on.events_processed) << what;
+    EXPECT_EQ(off.end_time, on.end_time) << what;
+    EXPECT_EQ(off.registries, on.registries) << what;
+    EXPECT_TRUE(off.snapshot.events.empty()) << what;
+  };
+  for (const SystemKind kind : stores::all_systems()) {
+    for (const bool adaptive : {false, true}) {
+      if (adaptive && kind != SystemKind::kEFactory) continue;
+      const std::string what = std::string{stores::to_string(kind)} +
+                               (adaptive ? " (adaptive)" : "");
+      const TracedRun on = run_traced(kind, true, adaptive);
+      expect_neutral(run_traced(kind, false, adaptive), on, what);
+      EXPECT_FALSE(on.snapshot.events.empty()) << what;
+    }
+  }
+  expect_neutral(run_two_shards(false), run_two_shards(true), "two shards");
 }
 
 TEST(FlightRecorder, TracedRunsAreBitDeterministic) {

@@ -1,8 +1,10 @@
-// Unit tests for the discrete-event simulator: event ordering, coroutine
-// tasks, delays, and the synchronization primitives.
+// Unit tests for the discrete-event simulator: event ordering, the clock
+// watch, coroutine tasks, delays, and the synchronization primitives.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -88,6 +90,56 @@ TEST(Simulator, CountsProcessedEvents) {
   for (int i = 0; i < 5; ++i) sim.call_at(i, [] {});
   sim.run();
   EXPECT_EQ(sim.events_processed(), 5u);
+}
+
+// ------------------------------------------------------------ clock watch
+
+TEST(ClockWatch, WatchesFireInBoundaryOrderAfterTheirEvents) {
+  Simulator sim;
+  std::vector<std::pair<char, SimTime>> log;
+  const auto alive = std::make_shared<bool>(true);
+  sim.watch_clock(3, alive, [&log](SimTime b) { log.emplace_back('A', b); });
+  sim.watch_clock(5, alive, [&log](SimTime b) { log.emplace_back('B', b); });
+  sim.call_at(6, [&] { log.emplace_back('E', sim.now()); });
+  sim.call_at(7, [&] { log.emplace_back('E', sim.now()); });
+  sim.run_until(15);
+  // An event on a boundary comes before that boundary's tick; at a shared
+  // boundary the earlier registration fires first.
+  const std::vector<std::pair<char, SimTime>> expected{
+      {'A', 3}, {'B', 5}, {'E', 6}, {'A', 6}, {'E', 7}, {'A', 9},
+      {'B', 10}, {'A', 12}, {'A', 15}, {'B', 15}};
+  EXPECT_EQ(log, expected);
+  // The ticks are outside the event queue.
+  EXPECT_EQ(sim.events_processed(), 2u);
+}
+
+TEST(ClockWatch, WatchOfAGoneOwnerFiresNothing) {
+  Simulator sim;
+  int ticks = 0;
+  {
+    const auto alive = std::make_shared<bool>(true);
+    sim.watch_clock(10, alive, [&ticks](SimTime) { ++ticks; });
+    *alive = false;  // what the owner's destructor does
+  }
+  sim.call_at(55, [] {});
+  sim.run();
+  sim.run_until(100);
+  EXPECT_EQ(ticks, 0);
+}
+
+TEST(ClockWatch, RunUntilFiresABoundaryAtItsDeadlineOnce) {
+  Simulator sim;
+  sim.run_until(5);
+  std::vector<SimTime> ticks;
+  const auto alive = std::make_shared<bool>(true);
+  // Boundaries count from the clock at registration: 15, 25, ...
+  sim.watch_clock(10, alive, [&ticks](SimTime b) { ticks.push_back(b); });
+  sim.run_until(15);
+  sim.run_until(15);
+  sim.run_until(24);
+  EXPECT_EQ(ticks, (std::vector<SimTime>{15}));
+  sim.run_until(25);
+  EXPECT_EQ(ticks, (std::vector<SimTime>{15, 25}));
 }
 
 // ------------------------------------------------------------------ tasks

@@ -23,9 +23,7 @@ using stores::SystemKind;
 TEST(TelemetrySampler, CounterDeltasAndGaugeProbes) {
   sim::Simulator sim;
   MetricsRegistry registry;
-  TelemetryOptions options;
-  options.enabled = true;
-  TelemetrySampler sampler{sim, registry, options};
+  TelemetrySampler sampler{sim};
 
   Counter& reqs = registry.counter("server.requests");
   sampler.add_counter_source(&registry, "server.requests", reqs);
@@ -35,10 +33,10 @@ TEST(TelemetrySampler, CounterDeltasAndGaugeProbes) {
 
   reqs += 5;
   depth = 3.0;
-  sampler.sample_now();
+  sampler.sample(0);
   reqs += 2;
   depth = 7.0;
-  sampler.sample_now();
+  sampler.sample(0);
 
   const TelemetrySnapshot snap = sampler.snapshot("t");
   ASSERT_EQ(snap.series.size(), 2u);
@@ -48,24 +46,23 @@ TEST(TelemetrySampler, CounterDeltasAndGaugeProbes) {
   EXPECT_EQ(snap.series[1].name, "server.depth");
   EXPECT_EQ(snap.series[1].kind, SeriesKind::kGauge);
   EXPECT_EQ(snap.series[1].points, (std::vector<double>{3.0, 7.0}));
-  // The sampler's own accounting counter advanced with the ticks.
-  EXPECT_EQ(registry.counter("telemetry.samples").value(), 2u);
+  // The sampler counts its ticks itself and writes into no registry.
+  EXPECT_EQ(sampler.samples_taken(), 2u);
+  EXPECT_EQ(registry.find_counter("telemetry.samples"), nullptr);
 }
 
 TEST(TelemetrySampler, RegistryResetRestartsDeltaBaseline) {
   sim::Simulator sim;
   MetricsRegistry registry;
-  TelemetryOptions options;
-  options.enabled = true;
-  TelemetrySampler sampler{sim, registry, options};
+  TelemetrySampler sampler{sim};
 
   Counter& c = registry.counter("c");
   sampler.add_counter_source(&registry, "c", c);
   c += 5;
-  sampler.sample_now();
+  sampler.sample(0);
   registry.reset();  // rewinds the cell under the sampler
   c += 2;
-  sampler.sample_now();
+  sampler.sample(0);
 
   const TelemetrySnapshot snap = sampler.snapshot();
   // 2, not (2 - 5) wrapped around to ~2^64.
@@ -75,21 +72,19 @@ TEST(TelemetrySampler, RegistryResetRestartsDeltaBaseline) {
 TEST(TelemetrySampler, LateSeriesBackfillsZeros) {
   sim::Simulator sim;
   MetricsRegistry registry;
-  TelemetryOptions options;
-  options.enabled = true;
-  TelemetrySampler sampler{sim, registry, options};
+  TelemetrySampler sampler{sim};
 
   Counter& a = registry.counter("a");
   sampler.add_counter_source(&registry, "a", a);
-  sampler.sample_now();
-  sampler.sample_now();
-  sampler.sample_now();
+  sampler.sample(0);
+  sampler.sample(0);
+  sampler.sample(0);
 
   // A client created mid-run registers a new series: it must come up
   // tick-aligned with the existing ones.
   double g = 9.0;
   sampler.add_gauge_probe(&registry, "late", [&g] { return g; });
-  sampler.sample_now();
+  sampler.sample(0);
 
   const TelemetrySnapshot snap = sampler.snapshot();
   ASSERT_EQ(snap.series.size(), 2u);
@@ -100,16 +95,14 @@ TEST(TelemetrySampler, LateSeriesBackfillsZeros) {
 TEST(TelemetrySampler, RingDropsOldestAndAccountsForThem) {
   sim::Simulator sim;
   MetricsRegistry registry;
-  TelemetryOptions options;
-  options.enabled = true;
-  TelemetrySampler sampler{sim, registry, options};
+  TelemetrySampler sampler{sim};
 
   Counter& c = registry.counter("c");
   sampler.add_counter_source(&registry, "c", c);
   constexpr std::size_t kTicks = TelemetrySampler::kCapacity + 6;
   for (std::size_t i = 1; i <= kTicks; ++i) {
     c += i;
-    sampler.sample_now();
+    sampler.sample(0);
   }
 
   EXPECT_EQ(sampler.samples_taken(), kTicks);
@@ -132,9 +125,7 @@ TEST(TelemetrySampler, RingDropsOldestAndAccountsForThem) {
 TEST(TelemetrySampler, DropSourcesStopsContributions) {
   sim::Simulator sim;
   MetricsRegistry registry;
-  TelemetryOptions options;
-  options.enabled = true;
-  TelemetrySampler sampler{sim, registry, options};
+  TelemetrySampler sampler{sim};
 
   Counter& c = registry.counter("c");
   const int owner_a = 0;
@@ -142,10 +133,10 @@ TEST(TelemetrySampler, DropSourcesStopsContributions) {
   sampler.add_counter_source(&owner_a, "c", c);
   sampler.add_gauge_probe(&owner_b, "g", [] { return 1.0; });
   c += 3;
-  sampler.sample_now();
+  sampler.sample(0);
   sampler.drop_sources(&owner_a);
   c += 3;
-  sampler.sample_now();
+  sampler.sample(0);
 
   const TelemetrySnapshot snap = sampler.snapshot();
   EXPECT_EQ(snap.series[0].points, (std::vector<double>{3.0, 0.0}));
@@ -153,32 +144,53 @@ TEST(TelemetrySampler, DropSourcesStopsContributions) {
 }
 
 TEST(TelemetrySampler, PeriodicEventSamplesOnTheSimClock) {
-  sim::Simulator sim;
-  MetricsRegistry registry;
-  TelemetryOptions options;
-  options.enabled = true;
-  TelemetrySampler sampler{sim, registry, options};
-  Counter& c = registry.counter("c");
-  sampler.add_counter_source(&registry, "c", c);
-
   constexpr SimDuration kPeriod = TelemetrySampler::kPeriodNs;
-  sampler.start();
+  MetricsRegistry registry;
+  Counter& c = registry.counter("c");
+  const auto schedule = [&c](sim::Simulator& s) {
+    s.call_at(kPeriod, [&c] { ++c; });
+    s.call_at(2 * kPeriod + 1, [&c] { ++c; });
+    s.call_at(4 * kPeriod - 1, [&c] { c += 2; });
+    s.call_at(8 * kPeriod, [&c] { c += 5; });
+  };
+
+  sim::Simulator sim;
+  TelemetrySampler sampler{sim};
+  sampler.add_counter_source(&registry, "c", c);
+  schedule(sim);
+  // A tick lands on its boundary and sees every event at or before it:
+  // the event on boundary 1 counts there, the ones just past boundary 2
+  // and just short of boundary 4 count in ticks 3 and 4.
   sim.run_until(4 * kPeriod + kPeriod / 2);
   EXPECT_EQ(sampler.samples_taken(), 4u);
+  TelemetrySnapshot snap = sampler.snapshot();
+  EXPECT_EQ(snap.start_ns, kPeriod);
+  EXPECT_EQ(snap.series[0].points, (std::vector<double>{1.0, 0.0, 1.0, 2.0}));
 
-  // stop() disarms: the queued tick becomes a no-op.
-  sampler.stop();
-  sim.run_until(10 * kPeriod);
-  EXPECT_EQ(sampler.samples_taken(), 4u);
+  // An idle gap: the event at 8 periods first fires boundaries 5-7, one
+  // tick each; run_until then fires boundary 8, which sees that event.
+  sim.run();
+  EXPECT_EQ(sampler.samples_taken(), 7u);
+  sim.run_until(8 * kPeriod);
+  snap = sampler.snapshot();
+  EXPECT_EQ(snap.series[0].points,
+            (std::vector<double>{1.0, 0.0, 1.0, 2.0, 0.0, 0.0, 0.0, 5.0}));
+
+  // The ticks are no events: the same schedule without a sampler
+  // dispatches the same events in the same order.
+  sim::Simulator plain;
+  schedule(plain);
+  plain.run_until(4 * kPeriod + kPeriod / 2);
+  plain.run();
+  plain.run_until(8 * kPeriod);
+  EXPECT_EQ(plain.dispatch_hash(), sim.dispatch_hash());
+  EXPECT_EQ(plain.events_processed(), sim.events_processed());
 }
 
 TEST(TelemetrySampler, SeriesPrefixNamesEverySeries) {
   sim::Simulator sim;
   MetricsRegistry registry;
-  TelemetryOptions options;
-  options.enabled = true;
-  options.series_prefix = "s3/";
-  TelemetrySampler sampler{sim, registry, options};
+  TelemetrySampler sampler{sim, "s3/"};
   Counter& c = registry.counter("c");
   sampler.add_counter_source(&registry, "c", c);
   sampler.add_gauge_probe(&registry, "g", [] { return 2.0; });
@@ -187,7 +199,7 @@ TEST(TelemetrySampler, SeriesPrefixNamesEverySeries) {
   sampler.add_counter_source(&c, "c", c);
 
   c += 1;
-  sampler.sample_now();
+  sampler.sample(0);
   const TelemetrySnapshot snap = sampler.snapshot();
   ASSERT_EQ(snap.series.size(), 2u);
   EXPECT_EQ(snap.series[0].name, "s3/c");
@@ -262,14 +274,12 @@ TEST(TelemetryJson, OlderDocumentsWithViolationsStillLoad) {
 TEST(TelemetryJson, SamplerSnapshotExportValidates) {
   sim::Simulator sim;
   MetricsRegistry registry;
-  TelemetryOptions options;
-  options.enabled = true;
-  TelemetrySampler sampler{sim, registry, options};
+  TelemetrySampler sampler{sim};
   Counter& c = registry.counter("c");
   sampler.add_counter_source(&registry, "c", c);
   c += 1;
-  sampler.sample_now();
-  sampler.sample_now();
+  sampler.sample(0);
+  sampler.sample(0);
 
   const std::string doc =
       to_telemetry_json({sampler.snapshot("label")}, "test");
@@ -344,16 +354,16 @@ workload::RunOptions e2e_options() {
   options.workload.seed = 0x7E1E;
   options.clients = 4;
   options.ops_per_client = 200;
-  options.telemetry.enabled = true;
   return options;
 }
 
 TelemetrySnapshot e2e_snapshot() {
   const workload::RunOptions options = e2e_options();
+  stores::StoreConfig config = workload::sized_store_config(options);
+  config.telemetry.enabled = true;
   sim::Simulator sim;
   stores::Cluster cluster =
-      stores::make_cluster(sim, SystemKind::kEFactory,
-                           workload::sized_store_config(options));
+      stores::make_cluster(sim, SystemKind::kEFactory, config);
   workload::run_workload(sim, cluster, options);
   TelemetrySampler* sampler = cluster.store->telemetry();
   EXPECT_NE(sampler, nullptr);
@@ -365,9 +375,6 @@ TEST(TelemetryEndToEnd, DisabledByDefault) {
   stores::Cluster cluster =
       stores::make_cluster(sim, SystemKind::kEFactory, {});
   EXPECT_EQ(cluster.store->telemetry(), nullptr);
-  // Disabled = no sampler accounting counters either.
-  EXPECT_EQ(cluster.store->metrics().find_counter("telemetry.samples"),
-            nullptr);
 }
 
 TEST(TelemetryEndToEnd, SampledSeriesAreBitDeterministic) {
