@@ -460,8 +460,11 @@ int main(int argc, char** argv) {
   args.push_back(nullptr);
   int filtered_argc = static_cast<int>(args.size()) - 1;
   efac::bench::register_benches();
-  const int rc =
-      efac::bench::bench_main(filtered_argc, args.data(), "fault");
+  // Under the sanitizer the export carries the analysis.* counters, so it
+  // gets its own figure name and its own baseline.
+  const int rc = efac::bench::bench_main(
+      filtered_argc, args.data(),
+      efac::bench::g_analysis ? "fault_analysis" : "fault");
   if (rc != 0) return rc;
   if (efac::bench::g_violations != 0) {
     std::cerr << efac::bench::g_violations
