@@ -74,23 +74,25 @@ const std::string& Checker::actor_name(std::uint32_t actor) const {
 }
 
 void Checker::switch_to(std::uint32_t actor, const char* label) noexcept {
-  current_ = actor;
+  sim_.set_actor(actor);
   if (actor < labels_.size()) labels_[actor] = label;
 }
 
 void Checker::release(sim::VectorClock& into) {
-  if (current_ == 0) return;
-  sim::VectorClock& c = clocks_[current_];
+  const std::uint32_t actor = running_actor();
+  if (actor == 0) return;
+  sim::VectorClock& c = clocks_[actor];
   if (into.size() < c.size()) into.resize(c.size(), 0);
   for (std::size_t i = 0; i < c.size(); ++i) {
     into[i] = std::max(into[i], c[i]);
   }
-  ++c[current_];
+  ++c[actor];
 }
 
 void Checker::acquire(const sim::VectorClock& from) {
-  if (current_ == 0 || from.empty()) return;
-  sim::VectorClock& c = clocks_[current_];
+  const std::uint32_t actor = running_actor();
+  if (actor == 0 || from.empty()) return;
+  sim::VectorClock& c = clocks_[actor];
   if (c.size() < from.size()) c.resize(from.size(), 0);
   for (std::size_t i = 0; i < from.size(); ++i) {
     c[i] = std::max(c[i], from[i]);
@@ -109,7 +111,7 @@ Checker::Page* Checker::find_page(std::size_t index) const noexcept {
 }
 
 bool Checker::ordered_before_current(const AccessRecord& rec) const {
-  const sim::VectorClock& c = clocks_[current_];
+  const sim::VectorClock& c = clocks_[running_actor()];
   return rec.actor < c.size() && c[rec.actor] >= rec.epoch;
 }
 
@@ -126,9 +128,9 @@ const char* Checker::active_site(std::uint32_t actor) const noexcept {
 
 std::uint32_t Checker::new_record(SimTime end, Guard guard,
                                   const char* site) {
-  const sim::VectorClock& c = clocks_[current_];
-  records_.push_back(AccessRecord{current_, c[current_], sim_.now(), end,
-                                  guard, site});
+  const std::uint32_t actor = running_actor();
+  records_.push_back(AccessRecord{actor, clocks_[actor][actor], sim_.now(),
+                                  end, guard, site});
   return static_cast<std::uint32_t>(records_.size());
 }
 
@@ -154,8 +156,8 @@ void Checker::record_conflict(ViolationKind kind, MemOffset off,
     ++stats_.conflicts_guarded;
     return;
   }
-  add_violation(Violation{kind, off, len, current_, prior.actor, sim_.now(),
-                          prior.end, own_site, prior.site},
+  add_violation(Violation{kind, off, len, running_actor(), prior.actor,
+                          sim_.now(), prior.end, own_site, prior.site},
                 /*durability=*/false);
 }
 
@@ -168,11 +170,6 @@ void Checker::add_violation(Violation v, bool durability) {
     ++stats_.races_unguarded;
   }
   if (violations_.size() < kMaxReports) violations_.push_back(v);
-  if (options_.fail_fast) {
-    std::string msg = "analysis violation: ";
-    render(v, msg);
-    throw CheckFailure(msg);
-  }
 }
 
 void Checker::mark_volatile(MemOffset off, std::size_t len) {
@@ -212,8 +209,9 @@ void Checker::on_flush(MemOffset off, std::size_t len) {
 }
 
 void Checker::write_common(MemOffset off, std::size_t len, SimTime end) {
-  const Guard guard = active_guard(current_);
-  const char* site = active_site(current_);
+  const std::uint32_t actor = running_actor();
+  const Guard guard = active_guard(actor);
+  const char* site = active_site(actor);
   const std::uint32_t id = new_record(end, guard, site);
   ++stats_.writes_checked;
   std::uint32_t prev_write = 0;
@@ -229,7 +227,7 @@ void Checker::write_common(MemOffset off, std::size_t len, SimTime end) {
       if (w != 0 && w != prev_write) {
         prev_write = w;
         const AccessRecord& rec = records_[w - 1];
-        if (rec.actor != current_ && !ordered_before_current(rec)) {
+        if (rec.actor != actor && !ordered_before_current(rec)) {
           record_conflict(ViolationKind::kWriteWriteRace, pos + i, len, rec,
                           guard, site);
         }
@@ -238,7 +236,7 @@ void Checker::write_common(MemOffset off, std::size_t len, SimTime end) {
       if (r != 0 && r != prev_read) {
         prev_read = r;
         const AccessRecord& rec = records_[r - 1];
-        if (rec.actor != current_ && !ordered_before_current(rec)) {
+        if (rec.actor != actor && !ordered_before_current(rec)) {
           record_conflict(ViolationKind::kWriteReadRace, pos + i, len, rec,
                           guard, site);
         }
@@ -252,23 +250,24 @@ void Checker::write_common(MemOffset off, std::size_t len, SimTime end) {
 }
 
 void Checker::on_cpu_write(MemOffset off, std::size_t len) {
-  if (current_ == 0 || len == 0) return;
+  if (running_actor() == 0 || len == 0) return;
   write_common(off, len, sim_.now());
 }
 
 void Checker::on_dma_write(MemOffset off, std::size_t len, SimTime start,
                            SimTime end) {
   static_cast<void>(start);
-  if (current_ == 0 || len == 0) return;
+  if (running_actor() == 0 || len == 0) return;
   write_common(off, len, end);
 }
 
 void Checker::on_read(MemOffset off, std::size_t len) {
-  if (current_ == 0 || len == 0) return;
+  const std::uint32_t actor = running_actor();
+  if (actor == 0 || len == 0) return;
   ++stats_.reads_checked;
   const SimTime now = sim_.now();
-  const Guard guard = active_guard(current_);
-  const char* site = active_site(current_);
+  const Guard guard = active_guard(actor);
+  const char* site = active_site(actor);
   const std::uint32_t id = new_record(now, guard, site);
   std::uint32_t prev_write = 0;
   std::size_t pos = off;
@@ -282,7 +281,7 @@ void Checker::on_read(MemOffset off, std::size_t len) {
       if (w != 0 && w != prev_write) {
         prev_write = w;
         const AccessRecord& rec = records_[w - 1];
-        if (rec.actor != current_) {
+        if (rec.actor != actor) {
           if (now < rec.end) {
             // The payload is still materializing chunk-by-chunk: even an
             // HB-ordered reader would see a torn prefix.
@@ -368,7 +367,7 @@ void Checker::assert_durable(MemOffset off, std::size_t len,
     return;
   }
   add_violation(
-      Violation{ViolationKind::kUnflushedDurability, bad, len, current_,
+      Violation{ViolationKind::kUnflushedDurability, bad, len, running_actor(),
                 in_flight != nullptr ? in_flight->actor : 0, now,
                 in_flight != nullptr ? in_flight->end : 0, site,
                 in_flight != nullptr ? in_flight->site : ""},

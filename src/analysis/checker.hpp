@@ -47,10 +47,7 @@
 #include "common/types.hpp"
 #include "metrics/metrics.hpp"
 #include "sim/hb.hpp"
-
-namespace efac::sim {
-class Simulator;
-}  // namespace efac::sim
+#include "sim/simulator.hpp"
 
 namespace efac::analysis {
 
@@ -91,7 +88,9 @@ struct Violation {
 
 /// The sanitizer. One per cluster, owned by StoreBase when
 /// StoreConfig::analysis.enabled; attaches itself to the Simulator as its
-/// HbHooks and to the Arena as its access observer.
+/// HbHooks and to the Arena as its access observer. The current actor is
+/// the simulator's (Simulator::context().actor), which every event carries
+/// and every sync-primitive wake-up takes from its waiter.
 class Checker final : public sim::HbHooks {
  public:
   /// Violation records retained verbatim; any beyond are still counted in
@@ -120,14 +119,10 @@ class Checker final : public sim::HbHooks {
   /// operation for reports (label must have static storage duration).
   void switch_to(std::uint32_t actor, const char* label) noexcept;
 
+  [[nodiscard]] sim::Simulator& simulator() const noexcept { return sim_; }
+
   // ------------------------------------------------------------ HbHooks
 
-  [[nodiscard]] std::uint32_t current_actor() const noexcept override {
-    return current_;
-  }
-  void set_current_actor(std::uint32_t actor) noexcept override {
-    current_ = actor;
-  }
   void release(sim::VectorClock& into) override;
   void acquire(const sim::VectorClock& from) override;
 
@@ -229,6 +224,9 @@ class Checker final : public sim::HbHooks {
     metrics::Counter& durability_suppressed;
   };
 
+  [[nodiscard]] std::uint32_t running_actor() const noexcept {
+    return sim_.context().actor;
+  }
   [[nodiscard]] Page& page(std::size_t index);
   [[nodiscard]] Page* find_page(std::size_t index) const noexcept;
   /// True iff `rec` happens-before the current actor's present instant.
@@ -247,7 +245,6 @@ class Checker final : public sim::HbHooks {
 
   sim::Simulator& sim_;
   AnalysisOptions options_;
-  std::uint32_t current_ = 0;
   std::uint32_t next_client_ = 1;
   std::vector<std::string> names_;           ///< actor id -> display name
   std::vector<const char*> labels_;          ///< actor id -> op label
@@ -265,24 +262,24 @@ class Checker final : public sim::HbHooks {
   Counters stats_;
 };
 
-/// RAII actor switch: sets the checker's current actor for the dynamic
+/// RAII actor switch: sets the simulator's current actor for the dynamic
 /// extent of a scope, restoring the previous one on exit. Null checker →
 /// no-op (the disabled-path pattern used everywhere).
 class ActorScope {
  public:
   ActorScope(Checker* checker, std::uint32_t actor) noexcept
-      : checker_(checker),
-        saved_(checker != nullptr ? checker->current_actor() : 0) {
-    if (checker_ != nullptr) checker_->set_current_actor(actor);
+      : sim_(checker != nullptr ? &checker->simulator() : nullptr),
+        saved_(sim_ != nullptr ? sim_->context().actor : 0) {
+    if (sim_ != nullptr) sim_->set_actor(actor);
   }
   ~ActorScope() {
-    if (checker_ != nullptr) checker_->set_current_actor(saved_);
+    if (sim_ != nullptr) sim_->set_actor(saved_);
   }
   ActorScope(const ActorScope&) = delete;
   ActorScope& operator=(const ActorScope&) = delete;
 
  private:
-  Checker* checker_;
+  sim::Simulator* sim_;
   std::uint32_t saved_;
 };
 
@@ -295,7 +292,8 @@ class AccessGuard {
  public:
   AccessGuard(Checker* checker, Guard guard, const char* site) noexcept
       : checker_(checker),
-        actor_(checker != nullptr ? checker->current_actor() : 0) {
+        actor_(checker != nullptr ? checker->simulator().context().actor
+                                  : 0) {
     if (checker_ == nullptr) return;
     alive_ = checker_->alive();
     checker_->push_guard(actor_, guard, site);

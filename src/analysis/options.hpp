@@ -14,9 +14,6 @@ struct AnalysisOptions {
   /// Master switch: attach a Checker to the cluster and shadow-track every
   /// arena access.
   bool enabled = false;
-  /// Throw efac::CheckFailure at the first unguarded race or durability
-  /// violation instead of accumulating a report until the run ends.
-  bool fail_fast = false;
   /// Suppress the durability lint. Fault plans that legitimately compromise
   /// durability (dropped/deferred persists, torn writes surviving to a
   /// flag-set) would otherwise trip it; the race rules stay active.

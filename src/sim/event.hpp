@@ -1,5 +1,5 @@
-// A scheduled simulator event: a (time, sequence) key plus a tagged small
-// callable.
+// A scheduled simulator event: a (time, sequence) key, the run context it
+// was scheduled in, and a tagged small callable.
 //
 // The fast case — the vast majority of traffic: delays elapsing, verb
 // completions, sync-primitive wake-ups — is a bare coroutine handle: one
@@ -13,6 +13,10 @@
 // over-aligned callables are boxed on the heap exactly once. This replaces
 // the previous std::function member, which heap-allocated for any capture
 // beyond two pointers.
+//
+// The context stamp fills the padding the layout had anyway ({actor, op}
+// after the ops table, the domain after the buffer), so an event is still
+// 96 bytes and the inline buffer still 56.
 //
 // Destroying an un-fired event releases callback state but never destroys
 // coroutine frames — those are owned by their root tasks (see Simulator).
@@ -30,22 +34,34 @@
 
 namespace efac::sim {
 
+/// Who is running: the conflict sanitizer's actor (0 = untracked) and the
+/// flight recorder's current op with the log it belongs to (`domain`, kept
+/// opaque at this layer). Every event runs under the context it was
+/// scheduled in (see Simulator::context()).
+struct Context {
+  std::uint32_t actor = 0;
+  std::uint32_t op = 0;
+  const void* domain = nullptr;
+};
+
 class Event {
  public:
   static constexpr std::size_t kInlineBytes = 56;
   static constexpr std::size_t kInlineAlign = 16;
 
   [[nodiscard]] static Event coroutine(SimTime t, std::uint64_t seq,
+                                       const Context& ctx,
                                        std::coroutine_handle<> h) noexcept {
-    Event e{t, seq};
+    Event e{t, seq, ctx};
     ::new (static_cast<void*>(e.buf_)) void*(h.address());
     return e;
   }
 
   template <typename F>
-  [[nodiscard]] static Event callback(SimTime t, std::uint64_t seq, F&& fn) {
+  [[nodiscard]] static Event callback(SimTime t, std::uint64_t seq,
+                                      const Context& ctx, F&& fn) {
     using Callable = std::decay_t<F>;
-    Event e{t, seq};
+    Event e{t, seq, ctx};
     if constexpr (sizeof(Callable) <= kInlineBytes &&
                   alignof(Callable) <= kInlineAlign &&
                   std::is_nothrow_move_constructible_v<Callable>) {
@@ -60,7 +76,12 @@ class Event {
   }
 
   Event() noexcept = default;
-  Event(Event&& other) noexcept : t_(other.t_), seq_(other.seq_) {
+  Event(Event&& other) noexcept
+      : t_(other.t_),
+        seq_(other.seq_),
+        actor_(other.actor_),
+        op_(other.op_),
+        domain_(other.domain_) {
     take_payload(other);
   }
   Event& operator=(Event&& other) noexcept {
@@ -68,6 +89,9 @@ class Event {
       reset();
       t_ = other.t_;
       seq_ = other.seq_;
+      actor_ = other.actor_;
+      op_ = other.op_;
+      domain_ = other.domain_;
       take_payload(other);
     }
     return *this;
@@ -78,6 +102,9 @@ class Event {
 
   [[nodiscard]] SimTime time() const noexcept { return t_; }
   [[nodiscard]] std::uint64_t seq() const noexcept { return seq_; }
+  [[nodiscard]] Context context() const noexcept {
+    return {actor_, op_, domain_};
+  }
 
   /// Resume the coroutine or invoke the callback. Consumes callback state;
   /// an event must not be fired twice.
@@ -139,7 +166,12 @@ class Event {
     static constexpr Ops kOps{&invoke_destroy, &relocate, &destroy};
   };
 
-  Event(SimTime t, std::uint64_t seq) noexcept : t_(t), seq_(seq) {}
+  Event(SimTime t, std::uint64_t seq, const Context& ctx) noexcept
+      : t_(t),
+        seq_(seq),
+        actor_(ctx.actor),
+        op_(ctx.op),
+        domain_(ctx.domain) {}
 
   void take_payload(Event& other) noexcept {
     if (other.ops_ != nullptr) {
@@ -161,7 +193,11 @@ class Event {
   SimTime t_ = 0;
   std::uint64_t seq_ = 0;
   const Ops* ops_ = nullptr;  ///< null: buf_ holds a coroutine handle
+  std::uint32_t actor_ = 0;   ///< context stamp, split around buf_
+  std::uint32_t op_ = 0;
   alignas(kInlineAlign) unsigned char buf_[kInlineBytes];
+  const void* domain_ = nullptr;
 };
+static_assert(sizeof(Event) == 96, "the context stamp must fit the padding");
 
 }  // namespace efac::sim

@@ -2,11 +2,13 @@
 //
 // The conflict sanitizer (efac::analysis::Checker) needs two things from
 // the simulation core: to know which *actor* the currently-executing event
-// belongs to, and to see a release/acquire edge whenever a sync primitive
-// hands control (and therefore memory visibility) from one actor to
-// another. This header defines the abstract hook interface so that sim/
-// never depends on analysis/ — the checker implements HbHooks and attaches
-// itself via Simulator::set_hb_hooks().
+// belongs to — the actor of the simulator's run context, which every event
+// carries (Simulator::context()) — and to see a release/acquire edge
+// whenever a sync primitive hands control (and therefore memory
+// visibility) from one actor to another. This header defines the abstract
+// hook interface for the edges so that sim/ never depends on analysis/ —
+// the checker implements HbHooks and attaches itself via
+// Simulator::set_hb_hooks().
 //
 // Actor id 0 is reserved for "untracked" contexts (the test harness, bench
 // drivers): accesses made under actor 0 are invisible to the checker, so
@@ -23,17 +25,13 @@ namespace efac::sim {
 /// ("nothing from that actor observed yet").
 using VectorClock = std::vector<std::uint64_t>;
 
-/// Hooks the Simulator and the sync primitives call when a conflict
-/// checker is attached. All methods are branch-guarded at the call sites
-/// (`if (hb != nullptr)`), so a run without a checker pays one pointer
-/// test per event and nothing else.
+/// Hooks the sync primitives call when a conflict checker is attached.
+/// Both are branch-guarded at the call sites (`if (hb != nullptr)`), so a
+/// run without a checker pays one pointer test per hand-off and nothing
+/// else.
 class HbHooks {
  public:
   virtual ~HbHooks() = default;
-
-  /// Actor the currently-executing event is attributed to (0 = untracked).
-  [[nodiscard]] virtual std::uint32_t current_actor() const noexcept = 0;
-  virtual void set_current_actor(std::uint32_t actor) noexcept = 0;
 
   /// Release half of a release/acquire pair: merge the current actor's
   /// clock into `into`, then advance the actor's own epoch so later writes

@@ -61,13 +61,6 @@ Simulator::~Simulator() {
 }
 
 void Simulator::enqueue(Event&& e) {
-  if (hb_ != nullptr) {
-    // Attribute the event to the actor scheduling it; dispatch() restores
-    // the attribution so everything a resumed coroutine (or callback) does
-    // is charged to the right clock domain.
-    const std::uint32_t actor = hb_->current_actor();
-    if (actor != 0) event_actor_.emplace(e.seq(), actor);
-  }
   ++pending_;
   if (e.time() - now_ < kWheelSpan) {
     // One bucket == one instant within the horizon, so appending keeps the
@@ -197,31 +190,8 @@ void Simulator::dispatch(Event& e) {
   --pending_;
   dispatch_hash_ = (dispatch_hash_ ^ e.time()) * kFnvPrime;
   dispatch_hash_ = (dispatch_hash_ ^ e.seq()) * kFnvPrime;
-  if (hb_ != nullptr) {
-    const auto it = event_actor_.find(e.seq());
-    if (it != event_actor_.end()) {
-      hb_->set_current_actor(it->second);
-      event_actor_.erase(it);
-    } else {
-      hb_->set_current_actor(0);
-    }
-  }
+  ctx_ = e.context();
   e.fire();
-}
-
-void Simulator::schedule_actor_resume(std::uint32_t actor,
-                                      std::coroutine_handle<> h) {
-  if (hb_ == nullptr) {
-    schedule_after(0, h);
-    return;
-  }
-  // One callback event in place of one coroutine event: same instant, same
-  // sequence number, identical dispatch_hash(). The callback overrides the
-  // dispatch attribution with the waiter's actor before resuming.
-  call_at(now_, [hb = hb_, actor, h] {
-    hb->set_current_actor(actor);
-    h.resume();
-  });
 }
 
 bool Simulator::step_one() {

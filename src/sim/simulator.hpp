@@ -23,6 +23,12 @@
 // was necessarily scheduled while T - now >= kWheelSpan, i.e. before any
 // wheel event at T, so heap-first preserves global same-time FIFO.
 //
+// Every event carries the run context it was scheduled in (sim::Context:
+// the sanitizer's actor and the flight recorder's op) and dispatch restores
+// it, so a delay resumes under the context it suspended in and a callback
+// runs under its scheduler's. A sync-primitive wake-up is scheduled in the
+// waiter's context instead (wake()).
+//
 // Actors are coroutines returning sim::Task<>; detached root actors are
 // started with spawn(). The Simulator tracks unfinished root frames and
 // destroys them on destruction so that abandoned actors (e.g. an infinite
@@ -72,7 +78,7 @@ class Simulator {
   void schedule_at(SimTime t, std::coroutine_handle<> h) {
     EFAC_CHECK_MSG(t >= now_, "scheduling into the past");
     EFAC_CHECK(h);
-    enqueue(Event::coroutine(t, next_seq_++, h));
+    enqueue(Event::coroutine(t, next_seq_++, ctx_, h));
   }
 
   /// Schedule a coroutine resumption `d` ns from now.
@@ -89,13 +95,33 @@ class Simulator {
     if constexpr (std::is_constructible_v<bool, const std::decay_t<F>&>) {
       EFAC_CHECK(static_cast<bool>(fn));  // e.g. an empty std::function
     }
-    enqueue(Event::callback(t, next_seq_++, std::forward<F>(fn)));
+    enqueue(Event::callback(t, next_seq_++, ctx_, std::forward<F>(fn)));
   }
 
   /// Schedule a plain callback `d` ns from now.
   template <typename F>
   void call_after(SimDuration d, F&& fn) {
     call_at(now_ + d, std::forward<F>(fn));
+  }
+
+  /// Resume the parked waiter `h` at the current instant under `waiter`,
+  /// the context it suspended in, rather than the releaser's (sync
+  /// primitive wake-ups). One sequence number, like schedule_after(0, h).
+  void wake(const Context& waiter, std::coroutine_handle<> h) {
+    EFAC_CHECK(h);
+    enqueue(Event::coroutine(now_, next_seq_++, waiter, h));
+  }
+
+  /// The context of the running event. Pure bookkeeping: it never
+  /// schedules and never draws RNG, so the schedule is the same whatever
+  /// it holds. With no checker attached the actor stays 0.
+  [[nodiscard]] const Context& context() const noexcept { return ctx_; }
+  /// Enter the sanitizer's clock domain `actor` (Checker, ActorScope).
+  void set_actor(std::uint32_t actor) noexcept { ctx_.actor = actor; }
+  /// Publish the flight recorder's current op of the log `domain`.
+  void set_op(const void* domain, std::uint32_t op) noexcept {
+    ctx_.domain = domain;
+    ctx_.op = op;
   }
 
   /// Start a detached root actor. Runs synchronously until its first
@@ -159,39 +185,11 @@ class Simulator {
     return dispatch_hash_;
   }
 
-  /// Attach happens-before hooks (the conflict sanitizer). With hooks
-  /// attached, every scheduled event remembers the actor that scheduled it
-  /// and restores that attribution at dispatch. nullptr detaches; with no
-  /// hooks every instrumentation site reduces to one pointer test.
+  /// Attach happens-before hooks (the conflict sanitizer), which read the
+  /// actor from context(). nullptr detaches; with no hooks every
+  /// instrumentation site reduces to one pointer test.
   void set_hb_hooks(HbHooks* hb) noexcept { hb_ = hb; }
   [[nodiscard]] HbHooks* hb_hooks() const noexcept { return hb_; }
-
-  /// Trace attribution context of the currently-executing client op.
-  ///
-  /// Overlapping async client ops interleave through the event queue, so
-  /// the flight recorder's per-op ids must follow whichever op's coroutine
-  /// is actually running. The active op publishes {domain, op} here (domain
-  /// is the owning trace log, kept opaque at this layer); every awaiter
-  /// that parks a coroutine captures the context at suspension and
-  /// republishes it on resumption. Pure bookkeeping: it never schedules
-  /// and never draws RNG, so the dispatch schedule (and dispatch_hash())
-  /// is bit-identical with or without ops in flight.
-  struct OpContext {
-    const void* domain = nullptr;
-    std::uint32_t op = 0;
-
-    friend bool operator==(const OpContext&, const OpContext&) = default;
-  };
-  [[nodiscard]] OpContext op_context() const noexcept { return op_ctx_; }
-  void set_op_context(OpContext ctx) noexcept { op_ctx_ = ctx; }
-
-  /// Resume `h` at the current instant attributed to `actor` (sync
-  /// primitive wake-ups: the waiter must run under its own actor, not the
-  /// releaser's). With no hooks attached this is exactly
-  /// schedule_after(0, h); with hooks it consumes the same single sequence
-  /// number at the same instant, so dispatch_hash() is identical either
-  /// way — the determinism witness for the sanitizer.
-  void schedule_actor_resume(std::uint32_t actor, std::coroutine_handle<> h);
 
   /// Used by the detached-task driver; not for general use.
   void record_detached_exception(std::exception_ptr e) noexcept;
@@ -299,10 +297,7 @@ class Simulator {
   std::unordered_map<std::uint64_t, std::coroutine_handle<>> roots_;
   std::exception_ptr pending_exception_;
   HbHooks* hb_ = nullptr;
-  OpContext op_ctx_{};
-  /// seq -> scheduling actor; populated only while hooks are attached (and
-  /// only for non-zero actors), consumed at dispatch.
-  std::unordered_map<std::uint64_t, std::uint32_t> event_actor_;
+  Context ctx_{};
   std::vector<ClockWatch> watches_;
   /// Earliest boundary of any watch; kNoTime (never due) without watches,
   /// so an unwatched dispatch pays one compare.
@@ -310,17 +305,16 @@ class Simulator {
 };
 
 /// Awaitable that suspends the current coroutine for `d` virtual ns.
-/// `co_await delay(sim, 0)` yields to other events already due now.
+/// `co_await delay(sim, 0)` yields to other events already due now. The
+/// resumption event carries the context the coroutine suspended in.
 struct DelayAwaiter {
   Simulator& sim;
   SimDuration duration;
-  Simulator::OpContext saved{};
   bool await_ready() const noexcept { return false; }
   void await_suspend(std::coroutine_handle<> h) {
-    saved = sim.op_context();
     sim.schedule_after(duration, h);
   }
-  void await_resume() const noexcept { sim.set_op_context(saved); }
+  void await_resume() const noexcept {}
 };
 
 inline DelayAwaiter delay(Simulator& sim, SimDuration d) { return {sim, d}; }

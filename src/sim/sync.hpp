@@ -2,7 +2,9 @@
 //
 // All primitives resume waiters *through the event queue* (at the current
 // virtual instant) rather than inline. That keeps host-stack depth bounded
-// and makes wake-up ordering deterministic and FIFO.
+// and makes wake-up ordering deterministic and FIFO. A waiter captures the
+// run context it suspends in and is woken under it (Simulator::wake()), so
+// it resumes as its own actor and op, not the releaser's.
 //
 //   OneShot<T>  — single-producer/single-consumer future (RPC responses,
 //                 verb completions).
@@ -45,9 +47,7 @@ class OneShot {
     EFAC_CHECK_MSG(!value_.has_value(), "OneShot set twice");
     if (HbHooks* hb = sim_.hb_hooks()) hb->release(clock_);
     value_.emplace(std::move(value));
-    if (waiter_) {
-      sim_.schedule_actor_resume(waiter_actor_, std::exchange(waiter_, {}));
-    }
+    if (waiter_) sim_.wake(waiter_ctx_, std::exchange(waiter_, {}));
   }
 
   [[nodiscard]] bool ready() const noexcept { return value_.has_value(); }
@@ -62,19 +62,12 @@ class OneShot {
                    "use a Gate (broadcast) or Channel (queue) for fan-out");
     struct Awaiter {
       OneShot& self;
-      Simulator::OpContext saved{};
-      bool suspended = false;
       bool await_ready() const noexcept { return self.value_.has_value(); }
       void await_suspend(std::coroutine_handle<> h) {
-        if (HbHooks* hb = self.sim_.hb_hooks()) {
-          self.waiter_actor_ = hb->current_actor();
-        }
-        saved = self.sim_.op_context();
-        suspended = true;
+        self.waiter_ctx_ = self.sim_.context();
         self.waiter_ = h;
       }
       T await_resume() {
-        if (suspended) self.sim_.set_op_context(saved);
         EFAC_CHECK(self.value_.has_value());
         if (HbHooks* hb = self.sim_.hb_hooks()) hb->acquire(self.clock_);
         T out = std::move(*self.value_);
@@ -89,8 +82,8 @@ class OneShot {
   Simulator& sim_;
   std::optional<T> value_;
   std::coroutine_handle<> waiter_;
+  Context waiter_ctx_;
   VectorClock clock_;  ///< carries the setter's clock to the consumer
-  std::uint32_t waiter_actor_ = 0;
 };
 
 /// Manual-reset broadcast event. wait() suspends while closed; set() wakes
@@ -104,9 +97,7 @@ class Gate {
   void open() {
     open_ = true;
     if (HbHooks* hb = sim_.hb_hooks()) hb->release(clock_);
-    for (const Waiter& w : waiters_) {
-      sim_.schedule_actor_resume(w.actor, w.handle);
-    }
+    for (const Waiter& w : waiters_) sim_.wake(w.ctx, w.handle);
     waiters_.clear();
   }
 
@@ -117,18 +108,11 @@ class Gate {
   auto wait() {
     struct Awaiter {
       Gate& self;
-      Simulator::OpContext saved{};
-      bool suspended = false;
       bool await_ready() const noexcept { return self.open_; }
       void await_suspend(std::coroutine_handle<> h) {
-        std::uint32_t actor = 0;
-        if (HbHooks* hb = self.sim_.hb_hooks()) actor = hb->current_actor();
-        saved = self.sim_.op_context();
-        suspended = true;
-        self.waiters_.push_back(Waiter{h, actor});
+        self.waiters_.push_back(Waiter{h, self.sim_.context()});
       }
       void await_resume() {
-        if (suspended) self.sim_.set_op_context(saved);
         if (HbHooks* hb = self.sim_.hb_hooks()) hb->acquire(self.clock_);
       }
     };
@@ -138,7 +122,7 @@ class Gate {
  private:
   struct Waiter {
     std::coroutine_handle<> handle;
-    std::uint32_t actor;
+    Context ctx;
   };
 
   Simulator& sim_;
@@ -167,7 +151,7 @@ class Semaphore {
       AcquireAwaiter* w = waiters_.front();
       waiters_.pop_front();
       w->handed_off = true;
-      sim_.schedule_actor_resume(w->actor, w->handle);
+      sim_.wake(w->ctx, w->handle);
     } else {
       EFAC_CHECK_MSG(available_ < capacity_, "Semaphore over-released");
       ++available_;
@@ -185,20 +169,15 @@ class Semaphore {
     Semaphore& self;
     bool handed_off = false;
     std::coroutine_handle<> handle{};
-    std::uint32_t actor = 0;
-    Simulator::OpContext saved{};
-    bool suspended = false;
+    Context ctx{};
 
     bool await_ready() const noexcept { return self.available_ > 0; }
     void await_suspend(std::coroutine_handle<> h) {
-      if (HbHooks* hb = self.sim_.hb_hooks()) actor = hb->current_actor();
-      saved = self.sim_.op_context();
-      suspended = true;
+      ctx = self.sim_.context();
       handle = h;
       self.waiters_.push_back(this);
     }
     void await_resume() {
-      if (suspended) self.sim_.set_op_context(saved);
       if (HbHooks* hb = self.sim_.hb_hooks()) hb->acquire(self.clock_);
       if (!handed_off) {
         // Ready path: consume an available permit atomically (the DES is
@@ -268,7 +247,7 @@ class Channel {
       waiters_.pop_front();
       w->slot.emplace(std::move(value));
       if (hb != nullptr) w->slot_clock = std::move(clock);
-      sim_.schedule_actor_resume(w->actor, w->handle);
+      sim_.wake(w->ctx, w->handle);
     } else {
       items_.push_back(std::move(value));
       // item_clocks_ mirrors items_ only while hooks are attached (they
@@ -292,20 +271,15 @@ class Channel {
     std::optional<T> slot{};
     std::coroutine_handle<> handle{};
     VectorClock slot_clock{};
-    std::uint32_t actor = 0;
-    Simulator::OpContext saved{};
-    bool suspended = false;
+    Context ctx{};
 
     bool await_ready() const noexcept { return !self.items_.empty(); }
     void await_suspend(std::coroutine_handle<> h) {
-      if (HbHooks* hb = self.sim_.hb_hooks()) actor = hb->current_actor();
-      saved = self.sim_.op_context();
-      suspended = true;
+      ctx = self.sim_.context();
       handle = h;
       self.waiters_.push_back(this);
     }
     T await_resume() {
-      if (suspended) self.sim_.set_op_context(saved);
       HbHooks* const hb = self.sim_.hb_hooks();
       if (slot.has_value()) {
         if (hb != nullptr) hb->acquire(slot_clock);

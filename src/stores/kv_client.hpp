@@ -277,12 +277,13 @@ class KvClient {
     std::vector<Status> out = co_await put_batch_attempt(ops, op_ids);
     EFAC_CHECK_MSG(out.size() == ops.size(),
                    "put_batch_attempt must return one status per op");
-    const RetryPolicy& policy = options_.retry;
     for (std::size_t i = 0; i < ops.size(); ++i) {
-      if (policy.enabled() && !out[i].is_ok() &&
-          RetryPolicy::retryable(out[i].code())) {
+      if (options_.retry.enabled() && !out[i].is_ok()) {
         recorder_.set_current(op_ids[i]);
-        out[i] = co_await put_retry_tail(std::move(ops[i]), out[i]);
+        auto again = [this, &op = ops[i]](bool /*may_move*/) {
+          return put_attempt(op.key, op.value);
+        };
+        out[i] = co_await retry_tail(std::move(out[i]), again);
       }
       recorder_.end_op_id(op_ids[i], trace::OpKind::kPut,
                           static_cast<std::uint64_t>(out[i].code()));
@@ -500,36 +501,44 @@ class KvClient {
   }
 
   /// THE retry/trace/metrics engine. Every public operation — sync,
-  /// async, batch retry tail — funnels through here, so policy changes
-  /// happen in one place. `attempt(may_move)` issues one try; may_move is
-  /// true only when no later attempt could reuse the operands. Awaiting
-  /// the returned task is pure symmetric transfer (no scheduler events),
-  /// which is what lets the sync wrappers delegate without perturbing the
-  /// dispatch schedule.
+  /// async — funnels through here, so policy changes happen in one place.
+  /// `attempt(may_move)` issues one try; may_move is true only when no
+  /// later attempt could reuse the operands. Awaiting the returned task is
+  /// pure symmetric transfer (no scheduler events), which is what lets the
+  /// sync wrappers delegate without perturbing the dispatch schedule.
   template <typename Result, typename Fn>
   sim::Task<Result> run_op(trace::OpKind kind, const char* label,
                            Fn attempt) {
     switch_to(label);
     recorder_.begin_op(kind);
-    const RetryPolicy& policy = options_.retry;
-    if (!policy.enabled()) {
-      Result result = co_await attempt(/*may_move=*/true);
-      recorder_.end_op(kind, static_cast<std::uint64_t>(code_of(result)));
-      co_return result;
+    const bool retry = options_.retry.enabled();
+    Result result = co_await attempt(/*may_move=*/!retry);
+    if (retry && !op_ok(result)) {
+      result = co_await retry_tail(std::move(result), attempt);
     }
+    recorder_.end_op(kind, static_cast<std::uint64_t>(code_of(result)));
+    co_return result;
+  }
+
+  /// The retry loop after attempt 1, whose result is `result`: while the
+  /// last try failed transiently and attempts remain, count the retry,
+  /// back off and try again; count a give-up when they run out. run_op and
+  /// put_batch's failed members share it (a batch's shared attempt is its
+  /// members' attempt 1). The caller points recorder attribution first.
+  template <typename Result, typename Fn>
+  sim::Task<Result> retry_tail(Result result, Fn& attempt) {
+    const RetryPolicy& policy = options_.retry;
     for (int attempt_no = 1;; ++attempt_no) {
-      Result result = co_await attempt(/*may_move=*/false);
       if (op_ok(result) || !RetryPolicy::retryable(code_of(result))) {
-        recorder_.end_op(kind, static_cast<std::uint64_t>(code_of(result)));
         co_return result;
       }
       if (attempt_no >= policy.max_attempts) {
         ++stats_.giveups;
-        recorder_.end_op(kind, static_cast<std::uint64_t>(code_of(result)));
         co_return result;
       }
       ++stats_.retries;
       co_await backoff(attempt_no, code_of(result));
+      result = co_await attempt(/*may_move=*/false);
     }
   }
 
@@ -610,26 +619,6 @@ class KvClient {
       out.push_back(co_await await_status(handle));
     }
     co_return out;
-  }
-
-  /// Attempts 2..max for one batch member whose shared attempt failed
-  /// transiently (the shared attempt was attempt 1, so this enters at the
-  /// first backoff). Caller re-points recorder attribution beforehand.
-  sim::Task<Status> put_retry_tail(PutOp op, Status first) {
-    const RetryPolicy& policy = options_.retry;
-    Status status = std::move(first);
-    for (int attempt_no = 1;; ++attempt_no) {
-      if (attempt_no >= policy.max_attempts) {
-        ++stats_.giveups;
-        co_return status;
-      }
-      ++stats_.retries;
-      co_await backoff(attempt_no, status.code());
-      status = co_await put_attempt(op.key, op.value);
-      if (status.is_ok() || !RetryPolicy::retryable(status.code())) {
-        co_return status;
-      }
-    }
   }
 
  protected:

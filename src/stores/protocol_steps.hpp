@@ -76,7 +76,6 @@ struct SpannedDelay {
   bool await_ready() const noexcept { return false; }
   void await_suspend(std::coroutine_handle<> h) { delay.await_suspend(h); }
   void await_resume() {
-    delay.await_resume();
     const metrics::Span closing = std::move(span);  // records at scope exit
   }
 };

@@ -16,9 +16,11 @@
 //     payload words, so the hot path never threads IDs across components.
 //
 // Actors (server, verifier, cleaner, fault injector, each client) hold a
-// Recorder — a {log, track, current-op} triple — by value; components that
+// Recorder — a {log, track, op-scoped} triple — by value; components that
 // serve many actors (QueuePair, rpc::Connection) borrow a pointer to their
 // owner's Recorder so per-op attribution follows the owner automatically.
+// A client track takes its op from the simulator's run context, which
+// every event carries; the other tracks carry op 0.
 #pragma once
 
 #include <cstdint>
@@ -126,16 +128,15 @@ class EventLog {
   /// Allocate a fresh causal op id (monotonic, never 0).
   [[nodiscard]] std::uint32_t next_op_id() noexcept { return ++last_op_; }
 
-  /// Publish `op` as the simulator's current op context for this log. The
-  /// context follows the running coroutine across suspensions (captured
-  /// and republished by every awaiter), which is what keeps per-op
-  /// attribution correct when a client has several ops in flight.
-  void set_context_op(std::uint32_t op) noexcept {
-    sim_.set_op_context({this, op});
-  }
-  /// The current context op if it belongs to this log, else 0.
+  /// Publish `op` as the op of the simulator's run context, with this log
+  /// as its domain. Every event carries the context it was scheduled in,
+  /// which is what keeps per-op attribution correct when a client has
+  /// several ops in flight.
+  void set_context_op(std::uint32_t op) noexcept { sim_.set_op(this, op); }
+  /// The context's op if it belongs to this log, else 0 (another shard's
+  /// op must not leak onto this log's tracks).
   [[nodiscard]] std::uint32_t context_op() const noexcept {
-    const sim::Simulator::OpContext ctx = sim_.op_context();
+    const sim::Context& ctx = sim_.context();
     return ctx.domain == this ? ctx.op : 0;
   }
 
@@ -170,17 +171,17 @@ class EventLog {
   std::uint32_t last_op_ = 0;
 };
 
-/// A {log, track, current-op} triple held by value in each actor. attach()
+/// A {log, track, op-scoped} triple held by value in each actor. attach()
 /// is idempotent-safe to skip: with a null log every emit() is one branch.
 struct Recorder {
   EventLog* log = nullptr;
   std::uint16_t track = 0;
-  std::uint32_t cur_op = 0;
-  /// Client recorders set this: op attribution reads the simulator's op
-  /// context (maintained across suspensions by every awaiter) instead of
-  /// the recorder-local cur_op, so a client with several async ops in
-  /// flight attributes each verb/RPC/retry event to the op whose coroutine
-  /// is actually running — not to whichever op began most recently.
+  /// Client recorders set this: op attribution reads the simulator's run
+  /// context, so a client with several async ops in flight attributes each
+  /// verb/RPC/retry event to the op whose coroutine is actually running —
+  /// not to whichever op began most recently. Actor tracks leave it false,
+  /// emit op 0 and never read the context (a verifier spawned from harness
+  /// code would otherwise inherit the last event's op).
   bool op_scoped = false;
 
   void attach(EventLog* l, std::string name) {
@@ -192,8 +193,7 @@ struct Recorder {
 
   /// The op id emissions are attributed to right now.
   [[nodiscard]] std::uint32_t current_op() const noexcept {
-    if (log == nullptr) return 0;
-    return op_scoped ? log->context_op() : cur_op;
+    return op_scoped && log != nullptr ? log->context_op() : 0;
   }
 
   void emit(EventType type, std::uint8_t aux = 0, std::uint64_t a = 0,
@@ -204,16 +204,15 @@ struct Recorder {
   /// ones borrowed through QueuePair/Connection) carry its id.
   void begin_op(OpKind kind) {
     if (log == nullptr) return;
-    cur_op = log->next_op_id();
-    if (op_scoped) log->set_context_op(cur_op);
-    log->emit(track, cur_op, EventType::kOpBegin,
+    const std::uint32_t op = log->next_op_id();
+    if (op_scoped) log->set_context_op(op);
+    log->emit(track, op, EventType::kOpBegin,
               static_cast<std::uint8_t>(kind));
   }
   void end_op(OpKind kind, std::uint64_t status_code) {
     if (log == nullptr) return;
     log->emit(track, current_op(), EventType::kOpEnd,
               static_cast<std::uint8_t>(kind), status_code);
-    cur_op = 0;
     if (op_scoped) log->set_context_op(0);
   }
 
@@ -229,7 +228,6 @@ struct Recorder {
     return id;
   }
   void set_current(std::uint32_t op) {
-    cur_op = op;
     if (op_scoped && log != nullptr) log->set_context_op(op);
   }
   void end_op_id(std::uint32_t op, OpKind kind, std::uint64_t status_code) {

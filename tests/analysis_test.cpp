@@ -140,19 +140,6 @@ TEST(Checker, WriterSideGuardExcusesTheConflict) {
   EXPECT_EQ(checker.guarded_conflicts(), 1u);
 }
 
-TEST(Checker, FailFastThrowsAtTheRacyAccess) {
-  sim::Simulator sim;
-  AnalysisOptions options = enabled_options();
-  options.fail_fast = true;
-  Checker checker{sim, options};
-  const std::uint32_t a = checker.register_client_actor();
-  const std::uint32_t b = checker.register_client_actor();
-  checker.switch_to(a, "put");
-  checker.on_cpu_write(64, 8);
-  checker.switch_to(b, "get");
-  EXPECT_THROW(checker.on_read(64, 8), CheckFailure);
-}
-
 // ----------------------------------------------------- durability lint
 
 TEST(Checker, DurabilityLintFlagsUnflushedBytes) {

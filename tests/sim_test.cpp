@@ -542,5 +542,120 @@ TEST(Integration, ProducerConsumerPipelineKeepsVirtualTime) {
   EXPECT_EQ(service_times.back(), 100 + 250 * 10u);
 }
 
+// ------------------------------------------------------------- RunContext
+//
+// Every event runs under the context it was scheduled in; a sync-primitive
+// wake-up runs under its waiter's. Context X is (actor 1, op 10), Y is
+// (actor 2, op 20); the flight-recorder domain is an opaque address.
+
+constexpr int kLog = 0;
+
+void enter(Simulator& sim, std::uint32_t actor, std::uint32_t op) {
+  sim.set_actor(actor);
+  sim.set_op(&kLog, op);
+}
+
+void expect_context(const Context& got, std::uint32_t actor,
+                    std::uint32_t op) {
+  EXPECT_EQ(got.actor, actor);
+  EXPECT_EQ(got.op, op);
+  EXPECT_EQ(got.domain, &kLog);
+}
+
+TEST(RunContext, CallbackRunsUnderItsSchedulersContext) {
+  Simulator sim;
+  Context seen;
+  enter(sim, 1, 10);
+  sim.call_at(20, [&] { seen = sim.context(); });
+  // A coroutine of Y resumes in between, leaving Y's context behind.
+  enter(sim, 2, 20);
+  sim.spawn([](Simulator& s) -> Task<void> { co_await delay(s, 10); }(sim));
+  enter(sim, 0, 0);
+  sim.run();
+  expect_context(seen, 1, 10);
+}
+
+TEST(RunContext, DelayResumesUnderTheContextItSuspendedIn) {
+  Simulator sim;
+  Context resumed;
+  enter(sim, 1, 10);
+  sim.spawn([](Simulator& s, Context* out) -> Task<void> {
+    co_await delay(s, 20);
+    *out = s.context();
+  }(sim, &resumed));
+  enter(sim, 2, 20);
+  sim.call_at(10, [&] { enter(sim, 3, 30); });
+  sim.run();
+  expect_context(resumed, 1, 10);
+}
+
+TEST(RunContext, OneShotWakesItsWaiterUnderTheWaitersContext) {
+  Simulator sim;
+  OneShot<int> slot{sim};
+  Context resumed;
+  enter(sim, 1, 10);
+  sim.spawn([](Simulator& s, OneShot<int>& o, Context* out) -> Task<void> {
+    static_cast<void>(co_await o.wait());
+    *out = s.context();
+  }(sim, slot, &resumed));
+  enter(sim, 2, 20);
+  sim.call_at(10, [&] { slot.set(1); });
+  sim.run();
+  expect_context(resumed, 1, 10);
+}
+
+TEST(RunContext, GateWakesEachWaiterUnderItsOwnContext) {
+  Simulator sim;
+  Gate gate{sim};
+  std::vector<Context> resumed(2);
+  for (std::uint32_t i = 0; i < 2; ++i) {
+    enter(sim, 1 + 2 * i, 10 + 20 * i);  // (1, 10), then (3, 30)
+    sim.spawn([](Simulator& s, Gate& g, Context* out) -> Task<void> {
+      co_await g.wait();
+      *out = s.context();
+    }(sim, gate, &resumed[i]));
+  }
+  enter(sim, 2, 20);
+  sim.call_at(10, [&] { gate.open(); });
+  sim.run();
+  expect_context(resumed[0], 1, 10);
+  expect_context(resumed[1], 3, 30);
+}
+
+TEST(RunContext, SemaphoreHandsOffUnderTheWaitersContext) {
+  Simulator sim;
+  Semaphore sem{sim, 1};
+  Context resumed;
+  enter(sim, 2, 20);
+  sim.spawn([](Simulator& s, Semaphore& sm) -> Task<void> {
+    co_await sm.acquire();
+    co_await delay(s, 10);
+    sm.release();
+  }(sim, sem));
+  enter(sim, 1, 10);
+  sim.spawn([](Simulator& s, Semaphore& sm, Context* out) -> Task<void> {
+    co_await sm.acquire();
+    *out = s.context();
+    sm.release();
+  }(sim, sem, &resumed));
+  sim.run();
+  expect_context(resumed, 1, 10);
+}
+
+TEST(RunContext, ChannelHandsTheValueToItsWaiterUnderTheWaitersContext) {
+  Simulator sim;
+  Channel<int> ch{sim};
+  Context resumed;
+  enter(sim, 1, 10);
+  sim.spawn([](Simulator& s, Channel<int>& c, Context* out) -> Task<void> {
+    static_cast<void>(co_await c.pop());
+    *out = s.context();
+  }(sim, ch, &resumed));
+  enter(sim, 2, 20);
+  sim.call_at(10, [&] { ch.push(1); });
+  sim.run();
+  expect_context(resumed, 1, 10);
+}
+
 }  // namespace
 }  // namespace efac::sim
