@@ -38,22 +38,15 @@ Rules
            declared as a metrics::Span in the same function (a span handle
            obtained some other way escapes the RAII balance argument).
 
-Engines
--------
-  --engine=lex    (default) no dependencies: comment/string masking, a
-                  brace-tree function finder, and a statement-level parser
-                  feed the shared path evaluator.  This is what runs under
-                  ctest inside the repo's minimal container.
-  --engine=clang  uses clang.cindex over compile_commands.json for
-                  compiler diagnostics and semantic lambda-capture
-                  analysis, then runs the same path evaluator as the lex
-                  engine over each file.  CI installs libclang and runs
-                  this engine.
-  --engine=auto   clang if importable, else lex.
+Engine
+------
+No dependencies: comment/string masking, a brace-tree function finder and
+a statement-level parser feed the path evaluator.  It reads source text,
+not macro expansions; no macro in the tree expands to a lambda, so EFAC005
+sees every coroutine lambda.
 
 Waivers: `// efac-waive: EFAC00N <reason>` on the finding's line or the
-line directly above.  The reason is mandatory.  The legacy
-`coro-capture-ok:` marker is honoured for EFAC005.
+line directly above.  The reason is mandatory.
 
 Exit status: 0 clean, 1 findings, 2 usage/internal error.
 """
@@ -85,7 +78,6 @@ MARK_FN_REQ = "EFAC_FN_REQUIRES_DURABLE"
 MARK_FN_OBS = "EFAC_FN_OBSERVES_DURABLE"
 
 WAIVE_RE = re.compile(r"//\s*efac-waive:\s*(EFAC\d{3})\s*(.*)$")
-LEGACY_WAIVE_RE = re.compile(r"coro-capture-ok:")
 CORO_KEYWORD_RE = re.compile(r"\b(?:co_await|co_return|co_yield)\b")
 
 # Fixed-layout wire accessors; anything matching after an optional tail in
@@ -189,7 +181,7 @@ class LineMap:
 
 
 # =====================================================================
-# Statement tree (shared IR for both engines).
+# Statement tree (the IR the path evaluator walks).
 # =====================================================================
 
 @dataclass
@@ -433,7 +425,7 @@ class StmtParser:
 
 
 # =====================================================================
-# Function discovery (lexical engine).
+# Function discovery.
 # =====================================================================
 
 CONTAINER_RE = re.compile(
@@ -568,7 +560,7 @@ def _match(code: str, i: int, end: int, op: str, cl: str) -> int:
 
 
 # =====================================================================
-# Path evaluator (shared by both engines).
+# Path evaluator.
 # =====================================================================
 
 @dataclass(frozen=True)
@@ -851,7 +843,7 @@ def check_span_finish(fn: FunctionInfo, report) -> None:
 
 
 # =====================================================================
-# EFAC005: coroutine-lambda captures (file-level, lexical).
+# EFAC005: coroutine-lambda captures (file-level).
 # =====================================================================
 
 LAMBDA_INTRO_RE = re.compile(r"\[")
@@ -962,7 +954,6 @@ def _blank_nested_lambdas(body: str) -> str:
 class Waivers:
     def __init__(self, raw: str, path: str):
         self.by_line: dict[int, set[str]] = {}
-        self.legacy_lines: set[int] = set()
         self.errors: list[Finding] = []
         for ln, line in enumerate(raw.splitlines(), 1):
             m = WAIVE_RE.search(line)
@@ -976,20 +967,14 @@ class Waivers:
                         "efac-waive requires a reason after the rule id"))
                     continue
                 self.by_line.setdefault(ln, set()).add(rule)
-            if LEGACY_WAIVE_RE.search(line):
-                self.legacy_lines.add(ln)
 
     def waived(self, line: int, rule: str) -> bool:
-        for ln in (line, line - 1):
-            if rule in self.by_line.get(ln, set()):
-                return True
-            if rule == "EFAC005" and ln in self.legacy_lines:
-                return True
-        return False
+        return any(rule in self.by_line.get(ln, set())
+                   for ln in (line, line - 1))
 
 
 # =====================================================================
-# File analysis driver (lexical engine).
+# File analysis driver.
 # =====================================================================
 
 @dataclass
@@ -1071,155 +1056,19 @@ def analyze_files(analyses: list[FileAnalysis]) -> list[Finding]:
 
 
 # =====================================================================
-# Clang engine.
-# =====================================================================
-
-def run_clang_engine(paths: list[str], compile_commands: str,
-                     verbose: bool) -> list[Finding]:
-    try:
-        import clang.cindex as ci
-    except ImportError as e:
-        raise SystemExit(
-            f"efac-check: --engine=clang but clang.cindex is unavailable "
-            f"({e}); install the 'libclang' wheel or use --engine=lex") \
-            from e
-
-    build_dir = os.path.dirname(os.path.abspath(compile_commands))
-    try:
-        db = ci.CompilationDatabase.fromDirectory(build_dir)
-    except ci.CompilationDatabaseError as e:
-        raise SystemExit(
-            f"efac-check: cannot load compile_commands.json from "
-            f"{build_dir}: {e}") from e
-
-    wanted = {os.path.abspath(p) for p in paths}
-
-    def in_scope(fname: str) -> bool:
-        f = os.path.abspath(fname)
-        return any(f == w or f.startswith(w + os.sep) for w in wanted)
-
-    index = ci.Index.create()
-    findings: list[Finding] = []
-    analyzed: dict[str, FileAnalysis] = {}
-
-    def file_analysis(path: str) -> FileAnalysis:
-        if path not in analyzed:
-            analyzed[path] = load_file(path)
-        return analyzed[path]
-
-    all_cmds = db.getAllCompileCommands()
-    tus = []
-    for cmd in all_cmds:
-        src = os.path.join(cmd.directory, cmd.filename) \
-            if not os.path.isabs(cmd.filename) else cmd.filename
-        src = os.path.normpath(src)
-        if not in_scope(src):
-            continue
-        args = [a for a in list(cmd.arguments)[1:]
-                if a not in ("-c", cmd.filename, src)]
-        drop_next = False
-        clean_args = []
-        for a in args:
-            if drop_next:
-                drop_next = False
-                continue
-            if a == "-o":
-                drop_next = True
-                continue
-            clean_args.append(a)
-        tus.append((src, clean_args))
-
-    for src, args in tus:
-        if verbose:
-            print(f"[clang] parsing {src}", file=sys.stderr)
-        try:
-            tu = index.parse(src, args=args)
-        except ci.TranslationUnitLoadError as e:
-            findings.append(Finding(src, 1, "EFAC000",
-                                    f"clang failed to parse: {e}"))
-            continue
-        for diag in tu.diagnostics:
-            if diag.severity >= ci.Diagnostic.Error:
-                findings.append(Finding(
-                    src, diag.location.line if diag.location else 1,
-                    "EFAC000", f"clang error: {diag.spelling}"))
-
-        def visit(cursor):
-            for child in cursor.walk_preorder():
-                loc = child.location
-                if loc.file is None or not in_scope(loc.file.name):
-                    continue
-                if child.kind == ci.CursorKind.LAMBDA_EXPR:
-                    _clang_check_lambda(ci, child, findings,
-                                        file_analysis(loc.file.name))
-
-        visit(tu.cursor)
-
-    # The path analysis itself runs on the shared core over each file once
-    # (the clang pass above contributes exact lambda semantics; duplicating
-    # the dataflow over the AST would fork the rule implementations).
-    lex_paths = sorted({fa for fa in _iter_sources(paths)})
-    analyses = [file_analysis(p) for p in lex_paths]
-    lex_findings = analyze_files(analyses)
-    # EFAC005 was handled semantically above; drop the lexical duplicates.
-    seen = {(f.path, f.line, f.rule) for f in findings}
-    for f in lex_findings:
-        if f.rule == "EFAC005":
-            continue
-        if (f.path, f.line, f.rule) in seen:
-            continue
-        findings.append(f)
-    return findings
-
-
-def _clang_check_lambda(ci, cursor, findings, fa: FileAnalysis) -> None:
-    tokens = [t.spelling for t in cursor.get_tokens()]
-    if not tokens or tokens[0] != "[":
-        return
-    depth, captures, i = 0, [], 0
-    for i, t in enumerate(tokens):
-        if t == "[":
-            depth += 1
-        elif t == "]":
-            depth -= 1
-            if depth == 0:
-                break
-        elif depth >= 1:
-            captures.append(t)
-    body_tokens = tokens[i + 1:]
-    if not any(t in ("co_await", "co_return", "co_yield")
-               for t in body_tokens):
-        return
-    if not captures:
-        return
-    line = cursor.location.line
-    if fa.waivers.waived(line, "EFAC005"):
-        return
-    findings.append(Finding(
-        fa.path, line, "EFAC005",
-        f"coroutine lambda captures [{' '.join(captures)}]: captures "
-        "dangle after the first suspension point — pass state as "
-        "parameters instead"))
-
-
-# =====================================================================
 # Fixture (expectation) mode.
 # =====================================================================
 
 EXPECT_RE = re.compile(r"\bEXPECT:\s*(EFAC\d{3})")
 
 
-def run_fixture_mode(fixture_dir: str, engine: str,
-                     compile_commands: str) -> int:
-    del engine, compile_commands
+def run_fixture_mode(fixture_dir: str) -> int:
     paths = sorted(_iter_sources([fixture_dir]))
     if not paths:
         print(f"efac-check: no fixtures under {fixture_dir}",
               file=sys.stderr)
         return 2
-    # Fixtures are not in any compilation database; they calibrate the
-    # shared path evaluator, so always run the lexical engine.
-    findings = run_engine(paths, "lex", "/nonexistent", verbose=False)
+    findings = run_checks(paths)
     got = {(f.path, f.line, f.rule) for f in findings}
 
     expected = set()
@@ -1268,16 +1117,7 @@ def _iter_sources(paths: list[str]):
                         yield os.path.join(root, fname)
 
 
-def run_engine(paths: list[str], engine: str, compile_commands: str,
-               verbose: bool) -> list[Finding]:
-    if engine == "auto":
-        try:
-            import clang.cindex  # noqa: F401
-            engine = "clang" if os.path.exists(compile_commands) else "lex"
-        except ImportError:
-            engine = "lex"
-    if engine == "clang":
-        return run_clang_engine(paths, compile_commands, verbose)
+def run_checks(paths: list[str]) -> list[Finding]:
     analyses = [load_file(p) for p in sorted(set(_iter_sources(paths)))]
     return analyze_files(analyses)
 
@@ -1290,16 +1130,10 @@ def main(argv=None) -> int:
     ap.add_argument("paths", nargs="*", default=None,
                     help="files/directories to check "
                          "(default: src tests bench)")
-    ap.add_argument("--engine", choices=("auto", "lex", "clang"),
-                    default="auto")
-    ap.add_argument("--compile-commands",
-                    default="build/compile_commands.json",
-                    help="compilation database for --engine=clang")
     ap.add_argument("--fixtures", metavar="DIR",
                     help="expectation mode: check EXPECT comments in DIR "
                          "instead of reporting findings")
     ap.add_argument("--list-rules", action="store_true")
-    ap.add_argument("-v", "--verbose", action="store_true")
     args = ap.parse_args(argv)
 
     if args.list_rules:
@@ -1308,8 +1142,7 @@ def main(argv=None) -> int:
         return 0
 
     if args.fixtures:
-        return run_fixture_mode(args.fixtures, args.engine,
-                                args.compile_commands)
+        return run_fixture_mode(args.fixtures)
 
     paths = args.paths or ["src", "tests", "bench"]
     missing = [p for p in paths if not os.path.exists(p)]
@@ -1318,8 +1151,7 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
 
-    findings = run_engine(paths, args.engine, args.compile_commands,
-                          args.verbose)
+    findings = run_checks(paths)
     for f in sorted(findings, key=lambda f: (f.path, f.line, f.rule)):
         print(f.render())
     n = len(findings)

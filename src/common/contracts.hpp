@@ -13,8 +13,7 @@
 // Every marker expands to a call of an empty constexpr inline function:
 // zero code at any optimization level, no behavioural difference, and the
 // determinism suite stays bit-identical. The checker never executes
-// anything — it recognises the macro names in source (lexical engine) or
-// the calls in the AST (libclang engine).
+// anything — it recognises the macro names in source.
 //
 // Statement markers (placed on the path they describe):
 //
